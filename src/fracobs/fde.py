@@ -7,9 +7,32 @@ nonzero initial conditions:
     z_k = h^alpha * phi(t_k, x_{k-1}) - sum_{j=1..min(k,L)} w_j * z_{k-j}
     x_k = x0 + z_k
 
-L is the short-memory length (L = n_steps means the full sum). With
-alpha = 1 the weight table collapses to [1, -1, 0, ...] and the update is
+L is the short-memory length (L = n_steps means the full sum). The
+weight table is trimmed at its last nonzero entry, so with alpha = 1 it
+is exactly [1, -1], the march is memoryless and the update is
 algebraically explicit Euler, which is the integer-order validation hook.
+
+The history sum is the divide-and-conquer convolution of Hairer, Lubich
+and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985). ``_solve(lo, hi)``
+steps blocks of at most ``_LEAF`` steps directly; above that it solves
+the left half, adds the left half's contribution to every target in the
+right half with one zero-padded real FFT convolution per state column,
+and solves the right half. Each (source, target) pair is counted once.
+A finite L only zeroes the kernel beyond lag L and clips each cross term
+to the sources and targets that lie within L of the split, so "full" and
+L = n_steps run identical arithmetic. The cost is O(n log^2 n) for full
+memory and O(n log n log L) for a window of L, against O(n L) for the
+per-step sum. The far-field part of step k's sum accumulates in row k of
+the state array before that step is taken, so the march needs no second
+(n+1) x dim array.
+
+The FFT changes the summation order, not the sum. Against the per-step
+sum, trajectories of damped linear fields agree to about 1e-14 relative
+(the tests assert 1e-11 over up to 2000 steps). On the chaotic example1
+run (|x| up to 30) the CSV columns agree to 6e-13 over the first second
+and 5e-12 over the first 5 s; later the chaos amplifies that roundoff as
+it would any perturbation. phi == 0 still returns x0 exactly, and
+alpha = 1 is still exact explicit Euler at any L.
 
 Discontinuous right-hand sides (sign terms in the sliding-mode observers)
 are fine here precisely because the stepper is explicit and fixed-step;
@@ -18,10 +41,11 @@ nothing ever tries to locate the switching surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .fraccalc import _as_order, gl_weights
 
@@ -38,6 +62,9 @@ __all__ = [
 DIVERGENCE_BOUND = 1e8
 
 FULL_MEMORY = "full"
+
+# Steps taken one by one at the bottom of the history-sum recursion.
+_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -82,16 +109,10 @@ class SimGrid:
 
 @dataclass
 class VectorField:
-    """Right-hand side phi(t, x) of D^alpha x = phi(t, x).
-
-    ``discontinuity_flag`` documents that phi contains switching terms
-    (sign functions); it does not change the stepping, which is already
-    discontinuity-safe.
-    """
+    """Right-hand side phi(t, x) of D^alpha x = phi(t, x)."""
 
     dim: int
     eval: Callable[[float, np.ndarray], np.ndarray]
-    discontinuity_flag: bool = False
 
 
 @dataclass
@@ -159,41 +180,84 @@ def integrate(
 
     n = grid.n_steps
     h = grid.h
-    mem = grid.effective_memory()
     ha = h ** a
-    w = gl_weights(a, mem).weights
+    w = gl_weights(a, grid.effective_memory()).weights
+    w = w[: np.flatnonzero(w)[-1] + 1]  # alpha = 1 -> [1, -1]
+    mem = len(w) - 1
     wrev = np.ascontiguousarray(w[1:][::-1])  # [w_mem ... w_1]
 
+    # Z[k] holds z_k once step k is taken; before that it accumulates the
+    # far-field part of step k's history sum.
     Z = np.zeros((n + 1, field.dim))
     X = np.empty((n + 1, field.dim))
     X[0] = x0
-    diverged = False
-    diverged_at: Optional[float] = None
-
     evaluate = field.eval
+    # every cross term convolves fewer than min(n, 2 * mem) points; each
+    # transform works in a prefix of these two buffers
+    longest = next_fast_len(min(n, 2 * mem), real=True)
+    spec = np.empty(longest // 2 + 1, dtype=complex)
+    buf = np.empty(longest)
+
+    def leaf(lo: int, hi: int) -> int:
+        # near field: sources in [lo, k) on top of the accumulated far field
+        for k in range(lo, hi):
+            phi = np.asarray(evaluate(k * h, X[k - 1]), dtype=float)
+            m = k - lo if k - lo < mem else mem
+            z = Z[k]
+            if m:
+                z += wrev[mem - m:] @ Z[k - m:k]
+            np.subtract(ha * phi, z, out=z)
+            xk = X[k]
+            np.add(x0, z, out=xk)
+            if not (np.abs(xk).max() <= DIVERGENCE_BOUND):
+                return k
+        return 0
+
+    def far_field(lo: int, mid: int, hi: int) -> None:
+        # sources [s0, mid) into targets [mid, mid + nt): lags 1..ns+nt-1,
+        # read off a convolution with w_1..w_{ns+nt-1}; at nfft >= ns+nt-1
+        # points the circular wrap lands only in outputs that are not read
+        s0 = max(lo, mid - mem)
+        ns, nt = mid - s0, min(hi, mid + mem) - mid
+        nfft = next_fast_len(ns + nt - 1, real=True)
+        kernel = np.fft.rfft(w[1:ns + nt], n=nfft)
+        sp, out = spec[: nfft // 2 + 1], buf[:nfft]
+        for i in range(field.dim):
+            np.fft.rfft(Z[s0:mid, i], n=nfft, out=sp)
+            sp *= kernel
+            np.fft.irfft(sp, n=nfft, out=out)
+            Z[mid:mid + nt, i] += out[ns - 1:ns - 1 + nt]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            t = k * h
-            phi = np.asarray(evaluate(t, X[k - 1]), dtype=float)
-            m = k if k < mem else mem
-            z = ha * phi - (wrev[mem - m:] @ Z[k - m:k])
-            Z[k] = z
-            xk = x0 + z
-            X[k] = xk
-            if not np.all(np.isfinite(xk)) or np.max(np.abs(xk)) > DIVERGENCE_BOUND:
-                diverged = True
-                diverged_at = t
-                X[k + 1:] = np.nan
-                break
+        bad = _solve(1, n + 1, leaf, far_field)
+    if bad:
+        X[bad + 1:] = np.nan
 
     return Trace(
         grid=grid,
         labels=labels,
         values=X,
         seed=seed,
-        diverged=diverged,
-        diverged_at=diverged_at,
+        diverged=bool(bad),
+        diverged_at=bad * h if bad else None,
     )
+
+
+def _solve(lo: int, hi: int, leaf, far_field) -> int:
+    """Take steps lo..hi-1; returns the first diverged step, or 0.
+
+    A module-level function, not a closure over itself, so the march's
+    arrays are freed when integrate returns rather than at the next
+    garbage collection.
+    """
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    mid = (lo + hi) // 2
+    bad = _solve(lo, mid, leaf, far_field)
+    if bad:
+        return bad
+    far_field(lo, mid, hi)
+    return _solve(mid, hi, leaf, far_field)
 
 
 def memory_truncation_error(
@@ -207,8 +271,10 @@ def memory_truncation_error(
 
     The full-memory trajectory is the oracle; each entry of the returned
     list is (L, max_{k,i} |x_L - x_full|). Deviations are expected to be
-    non-increasing as L grows and are exactly 0.0 at L = n_steps, where
-    the truncated sum is the full sum.
+    non-increasing as L grows and are exactly 0.0 at L = n_steps: no lag
+    exceeds n_steps, so that window clips neither the kernel nor any
+    cross term, and the march runs the full-memory arithmetic operation
+    for operation.
 
     The field is evaluated repeatedly, so it must be stateless (no noise
     stream); pass closed-form fault signals only.

@@ -490,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, MetricsReport]:
         out[nplant:] = obs_rhs(s[0], s[nplant:])
         return out
 
-    aug = VectorField(dim=total, eval=aug_eval, discontinuity_flag=True)
+    aug = VectorField(dim=total, eval=aug_eval)
     x0 = np.concatenate([plant.x0, pack_state(init, variant)])
     raw = integrate(
         aug, plant.alpha, grid, x0,
@@ -534,7 +534,7 @@ def replay_observer(
         k = int(round(t / h)) - 1
         return obs_rhs(y_rec[k if k > 0 else 0], s)
 
-    fld = VectorField(dim=obs.dim, eval=evaluate, discontinuity_flag=True)
+    fld = VectorField(dim=obs.dim, eval=evaluate)
     return integrate(fld, plant.alpha, grid, pack_state(init, variant),
                      labels=obs.labels, seed=cfg.seed)
 

@@ -79,15 +79,10 @@ def _sign(v: float) -> float:
 
 @dataclass(frozen=True)
 class FstaParams:
-    """Gains of one fractional super-twisting pair.
-
-    perturbation_bound documents the |rho| bound under which the
-    finite-time result holds; it is not used by the dynamics.
-    """
+    """Gains of one fractional super-twisting pair."""
 
     lam: float
     alpha_gain: float
-    perturbation_bound: float = 0.0
 
     def __post_init__(self):
         if not (self.lam > 0.0) or not (self.alpha_gain > 0.0):

@@ -269,4 +269,4 @@ def assemble_field(
         dx[-1] = drive
         return dx
 
-    return VectorField(dim=n, eval=evaluate, discontinuity_flag=False)
+    return VectorField(dim=n, eval=evaluate)

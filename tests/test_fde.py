@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracobs.fde import (
@@ -15,7 +15,7 @@ from fracobs.fde import (
     integrate,
     memory_truncation_error,
 )
-from fracobs.fraccalc import mittag_leffler
+from fracobs.fraccalc import gl_weights, mittag_leffler
 
 
 def relax(dim=1):
@@ -127,7 +127,7 @@ class TestIntegrateBasics:
 class TestDivergenceFlag:
     def test_blowup_is_flagged_not_raised(self):
         g = SimGrid(h=0.1, t_end=5.0, memory_len="full")
-        f = VectorField(dim=1, eval=lambda t, x: x * x, discontinuity_flag=False)
+        f = VectorField(dim=1, eval=lambda t, x: x * x)
         tr = integrate(f, 1.0, g, np.array([3.0]))
         assert tr.diverged
         assert tr.diverged_at is not None
@@ -143,6 +143,99 @@ class TestDivergenceFlag:
         f = VectorField(dim=1, eval=lambda t, x: np.array([math.inf]))
         tr = integrate(f, 0.9, g, np.array([0.0]))
         assert tr.diverged
+
+    def test_nan_field_output_flags(self):
+        g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
+        f = VectorField(dim=2, eval=lambda t, x: np.array([0.0, math.nan]))
+        tr = integrate(f, 0.9, g, np.array([1.0, 1.0]))
+        assert tr.diverged
+        assert tr.diverged_at == pytest.approx(0.1)
+        assert np.all(np.isnan(tr.values[2:]))
+
+
+def direct_gl(f, alpha, grid, x0):
+    """The per-step history sum that integrate's FFT recursion replaces."""
+    n, h, mem = grid.n_steps, grid.h, grid.effective_memory()
+    wrev = gl_weights(alpha, mem).weights[1:][::-1]
+    Z = np.zeros((n + 1, x0.size))
+    X = np.empty_like(Z)
+    X[0] = x0
+    for k in range(1, n + 1):
+        m = min(k, mem)
+        Z[k] = h ** alpha * f.eval(k * h, X[k - 1]) - wrev[mem - m:] @ Z[k - m:k]
+        X[k] = x0 + Z[k]
+    return X
+
+
+def damped(dim, q, ha):
+    # a decaying rotation with forcing: not chaotic, so differences stay at
+    # roundoff size; q = h^alpha * decay rate keeps the explicit march stable
+    A = q / ha * (-np.eye(dim) + 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1)))
+    return VectorField(dim=dim, eval=lambda t, x: A @ x + np.cos(t))
+
+
+def march(n, mem, dim, alpha, q, x0):
+    h = 1e-2
+    grid = SimGrid(h=h, t_end=n * h, memory_len=mem)
+    return grid, damped(dim, q, h ** alpha), alpha, np.array(x0, dtype=float)
+
+
+@st.composite
+def marches(draw):
+    n = draw(st.integers(min_value=1, max_value=2000))
+    mem = draw(st.one_of(st.just("full"), st.integers(min_value=1, max_value=n)))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    alpha = draw(st.floats(min_value=0.1, max_value=1.0))
+    q = draw(st.floats(min_value=0.02, max_value=0.5))
+    x0 = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
+    return march(n, mem, dim, alpha, q, x0)
+
+
+# deep recursions: several leaf and FFT levels, windows across split sizes
+DEEP = [
+    march(2000, "full", 3, 0.6, 0.1, [1.0, -2.0, 0.5]),
+    march(1999, 129, 2, 0.35, 0.3, [2.0, 1.0]),
+    march(2000, 700, 4, 0.9, 0.02, [0.1, 0.2, -0.3, 3.0]),
+]
+
+
+class TestFastHistorySum:
+    @given(marches())
+    @example(DEEP[0])
+    @example(DEEP[1])
+    @example(DEEP[2])
+    @settings(max_examples=30, deadline=None)
+    def test_matches_direct_sum(self, case):
+        grid, f, alpha, x0 = case
+        fast = integrate(f, alpha, grid, x0).values
+        ref = direct_gl(f, alpha, grid, x0)
+        assert np.max(np.abs(fast - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref)))
+
+    @given(marches())
+    @example(DEEP[0])
+    @settings(max_examples=15, deadline=None)
+    def test_window_of_n_steps_is_full_memory(self, case):
+        grid, f, alpha, x0 = case
+        full = SimGrid(h=grid.h, t_end=grid.t_end, memory_len="full")
+        window = SimGrid(h=grid.h, t_end=grid.t_end, memory_len=grid.n_steps)
+        assert np.array_equal(integrate(f, alpha, full, x0).values,
+                              integrate(f, alpha, window, x0).values)
+
+    @given(marches())
+    @example(DEEP[1])
+    @settings(max_examples=15, deadline=None)
+    def test_zero_field_any_window(self, case):
+        grid, f, alpha, x0 = case
+        zero = VectorField(dim=f.dim, eval=lambda t, x: np.zeros(f.dim))
+        assert np.all(integrate(zero, alpha, grid, x0).values == x0)
+
+    @given(marches())
+    @example(DEEP[2])
+    @settings(max_examples=15, deadline=None)
+    def test_alpha_one_is_direct_euler_any_window(self, case):
+        grid, f, _, x0 = case
+        assert np.array_equal(integrate(f, 1.0, grid, x0).values,
+                              direct_gl(f, 1.0, grid, x0))
 
 
 class TestShortMemory:
