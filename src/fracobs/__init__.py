@@ -47,13 +47,9 @@ from .observers import (
     FstaParams,
     GateVector,
     ObserverGains,
-    ObserverState,
     baseline_fault_readout,
-    baseline_observer_rhs,
-    estimation_errors,
     fsta_rhs,
     gates,
-    proposed_observer_rhs,
     recover_fault_general_b,
     sta_convergence_time,
 )
@@ -100,13 +96,9 @@ __all__ = [
     "FstaParams",
     "GateVector",
     "ObserverGains",
-    "ObserverState",
     "baseline_fault_readout",
-    "baseline_observer_rhs",
-    "estimation_errors",
     "fsta_rhs",
     "gates",
-    "proposed_observer_rhs",
     "recover_fault_general_b",
     "sta_convergence_time",
     "MetricsReport",

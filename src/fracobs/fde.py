@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .fraccalc import _as_order, gl_weights
+from .fraccalc import _as_order, fast_len, gl_weights
 
 __all__ = [
     "SimGrid",
@@ -194,7 +193,7 @@ def integrate(
     evaluate = field.eval
     # every cross term convolves fewer than min(n, 2 * mem) points; each
     # transform works in a prefix of these two buffers
-    longest = next_fast_len(min(n, 2 * mem), real=True)
+    longest = fast_len(min(n, 2 * mem))
     spec = np.empty(longest // 2 + 1, dtype=complex)
     buf = np.empty(longest)
 
@@ -219,7 +218,7 @@ def integrate(
         # points the circular wrap lands only in outputs that are not read
         s0 = max(lo, mid - mem)
         ns, nt = mid - s0, min(hi, mid + mem) - mid
-        nfft = next_fast_len(ns + nt - 1, real=True)
+        nfft = fast_len(ns + nt - 1)
         kernel = np.fft.rfft(w[1:ns + nt], n=nfft)
         sp, out = spec[: nfft // 2 + 1], buf[:nfft]
         for i in range(field.dim):

@@ -9,6 +9,8 @@ harness) sits on the small set of primitives in this module:
   Caputo-consistent through subtraction of the initial sample.
 * ``mittag_leffler`` -- one-parameter Mittag-Leffler function, the
   closed-form solution channel used to cross-validate the solver.
+* ``fast_len`` -- the FFT length that the convolutions here and in the
+  solver's history sum pad to.
 
 Orders are commensurate and live in (0, 1); order 1 is accepted so the
 classical first-order results (backward difference, explicit Euler, exp)
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConvergenceError
 
@@ -32,6 +33,7 @@ __all__ = [
     "gl_weights",
     "gl_derivative",
     "mittag_leffler",
+    "fast_len",
 ]
 
 
@@ -146,6 +148,24 @@ def gl_weights(alpha, k_max: int) -> GlWeightTable:
     return GlWeightTable(alpha=a, weights=w)
 
 
+def fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n, n >= 1.
+
+    numpy's pocketfft transforms such lengths fastest; this is the length
+    scipy.fft.next_fast_len(n, real=True) picks.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def gl_derivative(samples, alpha, h: float) -> np.ndarray:
     """Discrete GL fractional derivative of a uniformly sampled signal.
 
@@ -169,7 +189,10 @@ def gl_derivative(samples, alpha, h: float) -> np.ndarray:
     shifted = y - y[0]
     w = gl_weights(a, n - 1).weights
     if n > 2048:
-        conv = fftconvolve(w, shifted)[:n]
+        # zero-padded to the full linear length 2n - 1, so no wrap lands
+        # in the first n outputs
+        nfft = fast_len(2 * n - 1)
+        conv = np.fft.irfft(np.fft.rfft(w, nfft) * np.fft.rfft(shifted, nfft), nfft)[:n]
     else:
         conv = np.convolve(w, shifted)[:n]
     out = conv * h ** (-a)

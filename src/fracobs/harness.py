@@ -38,12 +38,11 @@ from .observers import (
     DEFAULT_EPSILON,
     ObserverDynamics,
     ObserverGains,
-    ObserverState,
     VARIANTS,
     baseline_fault_readout,
-    pack_state,
+    gates,
     required_gain_count,
-    zero_state,
+    state_dim,
 )
 from .plants import (
     FAULT_KINDS,
@@ -323,18 +322,18 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("observer.gains", str(exc)) from None
 
-    def build_init_state(self, variant: str, n: int) -> ObserverState:
-        from .observers import state_dim, unpack_state
-
+    def build_init_state(self, variant: str, n: int) -> np.ndarray:
+        """The observer's initial flat state (zeros unless ``observer.init``)."""
+        dim = state_dim(variant, n)
         if self.observer_init is None:
-            return zero_state(variant, n)
+            return np.zeros(dim)
         flat = np.asarray(self.observer_init, dtype=float)
-        if flat.size != state_dim(variant, n):
+        if flat.size != dim:
             raise ConfigError(
                 "observer.init",
-                f"{variant} observer with n={n} needs {state_dim(variant, n)} entries, got {flat.size}",
+                f"{variant} observer with n={n} needs {dim} entries, got {flat.size}",
             )
-        return unpack_state(flat, n, variant)
+        return flat
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -386,8 +385,7 @@ def _enrich(
             f_hat = baseline_fault_readout(xt_full, theta, plant)
 
         gate_count = n if variant == "proposed" else n - 1
-        within = np.abs(e[:, :gate_count]) <= epsilon
-        gate_cols = np.logical_and.accumulate(within, axis=1)
+        gate_cols = gates(e[:, :gate_count], epsilon).flags
         if latching:
             gate_cols = np.maximum.accumulate(gate_cols, axis=0)
 
@@ -485,13 +483,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, MetricsReport]:
     total = nplant + obs.dim
 
     def aug_eval(t, s):
-        out = np.empty(total)
-        out[:nplant] = plant_eval(t, s[:nplant])
-        out[nplant:] = obs_rhs(s[0], s[nplant:])
-        return out
+        v = s.tolist()
+        return plant_eval(t, v[:nplant]) + obs_rhs(v[0], v[nplant:])
 
     aug = VectorField(dim=total, eval=aug_eval)
-    x0 = np.concatenate([plant.x0, pack_state(init, variant)])
+    x0 = np.concatenate([plant.x0, init])
     raw = integrate(
         aug, plant.alpha, grid, x0,
         labels=[f"x{i+1}" for i in range(nplant)] + obs.labels,
@@ -529,14 +525,14 @@ def replay_observer(
         )
     h = grid.h
     obs_rhs = obs.rhs_flat
+    y_list = y_rec.tolist()
 
     def evaluate(t, s):
         k = int(round(t / h)) - 1
-        return obs_rhs(y_rec[k if k > 0 else 0], s)
+        return obs_rhs(y_list[k if k > 0 else 0], s.tolist())
 
     fld = VectorField(dim=obs.dim, eval=evaluate)
-    return integrate(fld, plant.alpha, grid, pack_state(init, variant),
-                     labels=obs.labels, seed=cfg.seed)
+    return integrate(fld, plant.alpha, grid, init, labels=obs.labels, seed=cfg.seed)
 
 
 @dataclass
@@ -617,7 +613,7 @@ def compare_observers(
     for slot, variant in (("a", variant_a), ("b", variant_b)):
         if plant_trace.diverged:
             raw_diverged, raw_at = True, plant_trace.diverged_at
-            obs_values = np.full((grid.n_steps + 1, 2 * plant.n + 2 if variant == "proposed" else 2 * plant.n), np.nan)
+            obs_values = np.full((grid.n_steps + 1, state_dim(variant, plant.n)), np.nan)
             obs_values[0] = 0.0
         else:
             raw = replay_observer(cfg, variant, y_rec)

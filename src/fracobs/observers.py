@@ -29,14 +29,16 @@ State layout used throughout (dimension 2n+2 proposed, 2n baseline):
     [ ...same prefix..., xhat_n, theta_tilde]    (baseline)
 
 so the first 2(n-1) derivative components of the two variants coincide
-by construction.
+by construction. ``ObserverDynamics.rhs_flat`` runs that shared prefix
+and then the variant's tail on Python floats; every pair in it, like
+``fsta_rhs``, evaluates the one pair formula in ``_pair``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from math import copysign, sqrt
+from operator import sub
 
 import numpy as np
 
@@ -47,23 +49,16 @@ from .plants import PlantModel
 __all__ = [
     "VARIANTS",
     "ObserverGains",
-    "ObserverState",
     "GateVector",
     "FstaParams",
     "fsta_rhs",
     "sta_convergence_time",
     "gates",
-    "estimation_errors",
-    "proposed_observer_rhs",
-    "baseline_observer_rhs",
     "baseline_fault_readout",
     "recover_fault_general_b",
     "required_gain_count",
     "state_dim",
     "state_labels",
-    "pack_state",
-    "unpack_state",
-    "zero_state",
     "ObserverDynamics",
 ]
 
@@ -72,9 +67,20 @@ VARIANTS = ("proposed", "baseline")
 DEFAULT_EPSILON = 0.01
 
 
-def _sign(v: float) -> float:
-    # sign(0) = 0: at the exact sliding point the injection vanishes.
-    return 0.0 if v == 0.0 else math.copysign(1.0, v)
+def _pair(e: float, v: float, lam: float, alp: float) -> tuple[float, float]:
+    """Derivatives of one super-twisting pair (estimate, second variable)
+    driven by its error e = measured - estimate:
+
+        estimate' = v + lam * |e|^(1/2) * sign(e),   v' = alp * sign(e)
+
+    sign(0) = 0: at the exact sliding point the injection vanishes.
+    """
+    s = 0.0 if e == 0.0 else copysign(1.0, e)
+    return v + lam * sqrt(abs(e)) * s, alp * s
+
+
+# what a pair whose gate is closed contributes
+_HELD = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,12 +100,12 @@ def fsta_rhs(xi1: float, xi2: float, p: FstaParams, rho: float = 0.0) -> tuple[f
 
         D^alpha xi1 = xi2 - lam * |xi1|^(1/2) * sign(xi1)
         D^alpha xi2 = -alpha_gain * sign(xi1) + rho
+
+    xi1 is the estimate minus the measurement, so this is the cascade's
+    pair formula at e = -xi1.
     """
-    s = _sign(xi1)
-    return (
-        xi2 - p.lam * math.sqrt(abs(xi1)) * s,
-        -p.alpha_gain * s + rho,
-    )
+    d1, d2 = _pair(-xi1, xi2, p.lam, p.alpha_gain)
+    return d1, d2 + rho
 
 
 def sta_convergence_time(alpha, v_s: float) -> float:
@@ -154,36 +160,6 @@ def required_gain_count(variant: str, n: int) -> int:
     return n + 1 if variant == "proposed" else n
 
 
-@dataclass
-class ObserverState:
-    """Full internal state of either observer variant.
-
-    x_tilde holds the auxiliary signals xtilde_2..xtilde_n (index i-2 for
-    xtilde_i); f_tilde / f_hat exist only on the proposed variant.
-    """
-
-    x_hat: np.ndarray
-    x_tilde: np.ndarray
-    theta_tilde: float
-    f_tilde: Optional[float] = None
-    f_hat: Optional[float] = None
-
-    def __post_init__(self):
-        self.x_hat = np.asarray(self.x_hat, dtype=float)
-        self.x_tilde = np.asarray(self.x_tilde, dtype=float)
-        n = self.x_hat.size
-        if self.x_tilde.size != n - 1:
-            raise ValueError(
-                f"x_tilde must hold n-1={n-1} entries (xtilde_2..xtilde_n), got {self.x_tilde.size}"
-            )
-        if (self.f_tilde is None) != (self.f_hat is None):
-            raise ValueError("f_tilde and f_hat must be both present (proposed) or both absent (baseline)")
-
-    @property
-    def n(self) -> int:
-        return self.x_hat.size
-
-
 @dataclass(frozen=True)
 class GateVector:
     """Cascade enable flags E_1..E_m (monotone non-increasing in i)."""
@@ -195,117 +171,15 @@ class GateVector:
 
 
 def gates(errors: np.ndarray, epsilon: float) -> GateVector:
-    """Instantaneous gates: E_i = 1 iff |e_j| <= epsilon for all j <= i."""
+    """Instantaneous gates: E_i = 1 iff |e_j| <= epsilon for all j <= i.
+
+    The errors run along the last axis, so a (rows, m) array of error
+    columns gives the gate columns of a whole trace.
+    """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     within = np.abs(np.asarray(errors, dtype=float)) <= epsilon
-    return GateVector(np.logical_and.accumulate(within))
-
-
-def estimation_errors(state: ObserverState, y: float) -> np.ndarray:
-    """e_1 = y - xhat_1, e_i = xtilde_i - xhat_i for i = 2..n."""
-    e = np.empty(state.n)
-    e[0] = y - state.x_hat[0]
-    e[1:] = state.x_tilde - state.x_hat[1:]
-    return e
-
-
-def _check_shapes(variant: str, state: ObserverState, gains: ObserverGains, gate_count: int, flags) -> None:
-    need = required_gain_count(variant, state.n)
-    if len(gains.lambdas) != need:
-        raise ValueError(
-            f"{variant} observer with n={state.n} needs {need} gain pairs, got {len(gains.lambdas)}"
-        )
-    if flags.size != gate_count:
-        raise ValueError(f"{variant} observer needs {gate_count} gates, got {flags.size}")
-
-
-def proposed_observer_rhs(
-    state: ObserverState,
-    y: float,
-    gains: ObserverGains,
-    plant: PlantModel,
-    gate_vec: GateVector,
-) -> ObserverState:
-    """Derivative of the proposed observer state (unit input gain).
-
-    The known drift is evaluated with the measured output in the first
-    slot and the auxiliary signals elsewhere: a(y, xtilde_2, .., xtilde_n).
-    Gates E_1..E_n are taken as given; the fault pair is enabled by E_n.
-    """
-    n = state.n
-    flags = gate_vec.flags
-    _check_shapes("proposed", state, gains, n, flags)
-    if state.f_tilde is None:
-        raise ValueError("proposed observer state must carry f_tilde and f_hat")
-    lam = gains.lambdas
-    alp = gains.alphas_gain
-
-    e = estimation_errors(state, y)
-    d_xhat = np.empty(n)
-    d_xtilde = np.empty(n - 1)
-
-    for i in range(n - 1):  # pairs (xhat_i, xtilde_{i+1}), i = 1..n-1
-        enable = 1.0 if (i == 0 or flags[i - 1]) else 0.0
-        s = _sign(e[i])
-        d_xhat[i] = enable * (state.x_tilde[i] + lam[i] * math.sqrt(abs(e[i])) * s)
-        d_xtilde[i] = enable * alp[i] * s
-
-    # n-th pair: drift + fault surrogate injection, second variable f_tilde.
-    en_n = 1.0 if flags[n - 2] else 0.0
-    s_n = _sign(e[n - 1])
-    x_mix = np.concatenate(([y], state.x_tilde))
-    drift = float(plant.a(x_mix))
-    d_xhat[n - 1] = en_n * (drift + state.f_tilde + lam[n - 1] * math.sqrt(abs(e[n - 1])) * s_n)
-    d_f_tilde = en_n * alp[n - 1] * s_n
-
-    # fault pair on e_f = f_tilde - f_hat, enabled by E_n.
-    en_f = 1.0 if flags[n - 1] else 0.0
-    e_f = state.f_tilde - state.f_hat
-    s_f = _sign(e_f)
-    d_f_hat = en_f * (state.theta_tilde + lam[n] * math.sqrt(abs(e_f)) * s_f)
-    d_theta = en_f * alp[n] * s_f
-
-    return ObserverState(
-        x_hat=d_xhat, x_tilde=d_xtilde, theta_tilde=d_theta,
-        f_tilde=d_f_tilde, f_hat=d_f_hat,
-    )
-
-
-def baseline_observer_rhs(
-    state: ObserverState,
-    y: float,
-    gains: ObserverGains,
-    gate_vec: GateVector,
-) -> ObserverState:
-    """Derivative of the baseline observer state.
-
-    Identical cascade prefix; the n-th pair estimates the whole unknown
-    drive with theta_tilde (no drift injection, no fault pair). Gates
-    E_1..E_{n-1} are taken as given.
-    """
-    n = state.n
-    flags = gate_vec.flags
-    _check_shapes("baseline", state, gains, n - 1, flags)
-    lam = gains.lambdas
-    alp = gains.alphas_gain
-
-    e = estimation_errors(state, y)
-    d_xhat = np.empty(n)
-    d_xtilde = np.empty(n - 1)
-
-    for i in range(n - 1):
-        enable = 1.0 if (i == 0 or flags[i - 1]) else 0.0
-        s = _sign(e[i])
-        d_xhat[i] = enable * (state.x_tilde[i] + lam[i] * math.sqrt(abs(e[i])) * s)
-        d_xtilde[i] = enable * alp[i] * s
-
-    en_n = 1.0 if flags[n - 2] else 0.0
-    s_n = _sign(e[n - 1])
-    d_xhat[n - 1] = en_n * (state.theta_tilde + lam[n - 1] * math.sqrt(abs(e[n - 1])) * s_n)
-    d_theta = en_n * alp[n - 1] * s_n
-
-    return ObserverState(x_hat=d_xhat, x_tilde=d_xtilde, theta_tilde=d_theta)
+    return GateVector(np.logical_and.accumulate(within, axis=-1))
 
 
 def baseline_fault_readout(x_tilde_full: np.ndarray, theta_tilde, plant: PlantModel):
@@ -350,48 +224,13 @@ def state_labels(variant: str, n: int) -> list[str]:
     return labels
 
 
-def pack_state(state: ObserverState, variant: str) -> np.ndarray:
-    n = state.n
-    flat = np.empty(state_dim(variant, n))
-    flat[0:2 * n - 1:2] = state.x_hat
-    flat[1:2 * n - 2:2] = state.x_tilde
-    if variant == "proposed":
-        flat[2 * n - 1] = state.f_tilde
-        flat[2 * n] = state.f_hat
-    flat[-1] = state.theta_tilde
-    return flat
-
-
-def unpack_state(flat: np.ndarray, n: int, variant: str) -> ObserverState:
-    flat = np.asarray(flat, dtype=float)
-    if flat.size != state_dim(variant, n):
-        raise ValueError(
-            f"flat state has {flat.size} entries, {variant} observer with n={n} "
-            f"needs {state_dim(variant, n)}"
-        )
-    kw = {}
-    if variant == "proposed":
-        kw = {"f_tilde": float(flat[2 * n - 1]), "f_hat": float(flat[2 * n])}
-    return ObserverState(
-        x_hat=flat[0:2 * n - 1:2].copy(),
-        x_tilde=flat[1:2 * n - 2:2].copy(),
-        theta_tilde=float(flat[-1]),
-        **kw,
-    )
-
-
-def zero_state(variant: str, n: int) -> ObserverState:
-    kw = {"f_tilde": 0.0, "f_hat": 0.0} if variant == "proposed" else {}
-    return ObserverState(x_hat=np.zeros(n), x_tilde=np.zeros(n - 1), theta_tilde=0.0, **kw)
-
-
 class ObserverDynamics:
-    """Flat-vector wrapper driving one observer inside an integration run.
+    """One observer inside an integration run, on the flat state.
 
-    Computes errors and gates from the current flat state and dispatches
-    to the variant right-hand side. In latching mode the gate flags are
-    OR-accumulated across steps (once open, stays open), which makes an
-    instance single-use per run unless reset().
+    ``rhs_flat`` computes the errors and gates from the current flat state
+    and runs the cascade. In latching mode a gate stays open once it has
+    opened (the count of open gates never falls), which makes an instance
+    single-use per run unless reset().
     """
 
     def __init__(
@@ -417,23 +256,59 @@ class ObserverDynamics:
         self.gate_count = plant.n if variant == "proposed" else plant.n - 1
         self.dim = state_dim(variant, plant.n)
         self.labels = state_labels(variant, plant.n)
+        self._lam = gains.lambdas
+        self._alp = gains.alphas_gain
+        self._eps = gains.epsilon
         self.reset()
 
     def reset(self) -> None:
-        self._latch = np.zeros(self.gate_count, dtype=bool)
+        self._latched = 0
 
-    def gate_flags(self, errors: np.ndarray) -> np.ndarray:
-        flags = gates(errors[: self.gate_count], self.gains.epsilon).flags
+    def rhs_flat(self, y: float, flat) -> list[float]:
+        """Derivative of the flat state (layout in the module docstring).
+
+        ``flat`` is a sequence of floats: a list, or an array row. Pair
+        i+1 runs while gate E_i is open; the first pair always runs.
+        """
+        n = self.n
+        if len(flat) != self.dim:
+            raise ValueError(
+                f"flat state has {len(flat)} entries, {self.variant} observer "
+                f"with n={n} needs {self.dim}"
+            )
+        lam, alp, eps = self._lam, self._alp, self._eps
+
+        # e_1 = y - xhat_1, e_i = xtilde_i - xhat_i; open_ = gates open now
+        errors = [y - flat[0], *map(sub, flat[1:2 * n - 2:2], flat[2:2 * n - 1:2])]
+        open_ = 0
+        for e in errors[: self.gate_count]:
+            if not abs(e) <= eps:
+                break
+            open_ += 1
         if self.latching:
-            self._latch |= flags
-            flags = self._latch.copy()
-        return flags
+            if open_ > self._latched:
+                self._latched = open_
+            else:
+                open_ = self._latched
 
-    def rhs_flat(self, y: float, flat: np.ndarray) -> np.ndarray:
-        s = unpack_state(flat, self.n, self.variant)
-        gv = GateVector(self.gate_flags(estimation_errors(s, y)))
-        if self.variant == "proposed":
-            ds = proposed_observer_rhs(s, y, self.gains, self.plant, gv)
+        # shared prefix: pairs (xhat_i, xtilde_{i+1}), i = 1..n-1
+        out = list(_pair(errors[0], flat[1], lam[0], alp[0]))
+        for i in range(1, n - 1):
+            out += _pair(errors[i], flat[2 * i + 1], lam[i], alp[i]) if open_ >= i else _HELD
+        # n-th pair, enabled by E_{n-1}
+        if open_ < n - 1:
+            out += _HELD
+        elif self.variant == "baseline":
+            # second variable theta_tilde estimates the whole drive
+            out += _pair(errors[n - 1], flat[2 * n - 1], lam[n - 1], alp[n - 1])
         else:
-            ds = baseline_observer_rhs(s, y, self.gains, gv)
-        return pack_state(ds, self.variant)
+            # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
+            v = self.plant.drift(y, *flat[1:2 * n - 2:2]) + flat[2 * n - 1]
+            out += _pair(errors[n - 1], v, lam[n - 1], alp[n - 1])
+        if self.variant == "proposed":
+            # fault pair (f_hat, theta_tilde) on e_f = f_tilde - f_hat, enabled by E_n
+            if open_ >= n:
+                out += _pair(flat[2 * n - 1] - flat[2 * n], flat[2 * n + 1], lam[n], alp[n])
+            else:
+                out += _HELD
+        return out

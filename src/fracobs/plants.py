@@ -17,8 +17,10 @@ Two chaotic presets are bundled:
 * ``genesio_tesi`` -- a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^2,
                       betas (1.0, 1.1, 0.44, 1.0), alpha 0.9.
 
-The ``a`` callables broadcast over leading axes (x may be shape (n,) or
-(rows, n)), which the harness uses to evaluate readouts over whole traces.
+Each preset writes its drift once, over components: ``drift(x1, .., xn)``
+on Python floats for the per-step field, and ``PlantModel.a(x)`` unpacks
+the last axis of an array into the same expression, so x may be shape
+(n,) or (rows, n) and the harness reads out whole trace columns with it.
 """
 
 from __future__ import annotations
@@ -49,12 +51,17 @@ FAULT_KINDS = ("none", "cosine", "sine", "step", "ramp", "custom")
 
 @dataclass
 class PlantModel:
-    """Observable-form plant of dimension n with drift a and input gain b."""
+    """Observable-form plant of dimension n with drift a and input gain b.
+
+    ``drift`` and ``gain`` take the n state components as separate
+    arguments (floats, or equal-shape arrays); ``a`` and ``b`` apply them
+    to the last axis of an array.
+    """
 
     n: int
     alpha: float
-    a: Callable[[np.ndarray], float]
-    b: Callable[[np.ndarray], float]
+    drift: Callable[..., float]
+    gain: Callable[..., float]
     x0: np.ndarray
     params: dict
     name: str = ""
@@ -65,6 +72,12 @@ class PlantModel:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.n,):
             raise ValueError(f"x0 shape {self.x0.shape} does not match n={self.n}")
+
+    def a(self, x):
+        return self.drift(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+
+    def b(self, x):
+        return self.gain(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,18 @@ def noise_draws(spec: NoiseSpec, count: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(spec.variance), size=int(count))
 
 
+# Draws taken from the generator at once; the stream stays the sequence
+# of noise_draws because the generator fills a block draw by draw.
+_NOISE_BLOCK = 4096
+
+
+def _noise_blocks(spec: NoiseSpec):
+    rng = np.random.default_rng(spec.seed)
+    sigma = math.sqrt(spec.variance)
+    while True:
+        yield from rng.normal(0.0, sigma, size=_NOISE_BLOCK).tolist()
+
+
 class _NoiseStream:
     """Sequential per-step sampler owned by a single integration run.
 
@@ -161,19 +186,18 @@ class _NoiseStream:
     """
 
     def __init__(self, spec: NoiseSpec):
-        self._rng = np.random.default_rng(spec.seed)
-        self._sigma = math.sqrt(spec.variance)
+        self._draws = _noise_blocks(spec)
         self._t = None
         self._value = 0.0
 
     def sample(self, t: float) -> float:
         if t != self._t:
             self._t = t
-            self._value = float(self._rng.normal(0.0, self._sigma))
+            self._value = next(self._draws)
         return self._value
 
 
-def _unit_gain(x) -> float:
+def _unit_gain(*x) -> float:
     return 1.0
 
 
@@ -185,11 +209,11 @@ def arneodo(
     """Arneodo chaotic system, cubic drift, stock chaotic parameter set."""
     b1, b2, b3, b4 = (float(v) for v in betas)
 
-    def a(x):
-        return -b1 * x[..., 0] - b2 * x[..., 1] - b3 * x[..., 2] + b4 * x[..., 0] ** 3
+    def drift(x1, x2, x3):
+        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 3
 
     return PlantModel(
-        n=3, alpha=float(alpha), a=a, b=_unit_gain, x0=np.asarray(x0, dtype=float),
+        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
         params={"betas": (b1, b2, b3, b4)}, name="arneodo",
     )
 
@@ -206,11 +230,11 @@ def genesio_tesi(
     """
     b1, b2, b3, b4 = (float(v) for v in betas)
 
-    def a(x):
-        return -b1 * x[..., 0] - b2 * x[..., 1] - b3 * x[..., 2] + b4 * x[..., 0] ** 2
+    def drift(x1, x2, x3):
+        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 2
 
     return PlantModel(
-        n=3, alpha=float(alpha), a=a, b=_unit_gain, x0=np.asarray(x0, dtype=float),
+        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
         params={"betas": (b1, b2, b3, b4)}, name="genesio_tesi",
     )
 
@@ -241,8 +265,10 @@ def assemble_field(
     """Build the simulation right-hand side for a plant run.
 
     Components 1..n-1 are exactly the shifted state (the chain); fault and
-    noise enter only the last component. A field carrying a live noise
-    stream is single-use: build a fresh one per integration run.
+    noise enter only the last component. The field takes the state as a
+    sequence of floats (a list, or an array row) and returns a list. A
+    field carrying a live noise stream is single-use: build a fresh one
+    per integration run.
     """
     n = plant.n
     if noise is not None and noise.variance > 0.0:
@@ -255,18 +281,18 @@ def assemble_field(
     else:
         stream = None
 
-    a_fn = plant.a
-    b_fn = plant.b
+    drift = plant.drift
+    gain = plant.gain
+    faulty = fault is not None and fault.kind != "none"
 
     def evaluate(t, x):
-        dx = np.empty(n)
-        dx[:-1] = x[1:]
-        drive = a_fn(x)
-        if fault is not None and fault.kind != "none":
-            drive = drive + b_fn(x) * fault_value(fault, t)
+        if isinstance(x, np.ndarray):  # a row, as integrate passes it
+            x = x.tolist()
+        drive = drift(*x)
+        if faulty:
+            drive = drive + gain(*x) * fault_value(fault, t)
         if stream is not None:
             drive = drive + stream.sample(t)
-        dx[-1] = drive
-        return dx
+        return [*x[1:], drive]
 
     return VectorField(dim=n, eval=evaluate)

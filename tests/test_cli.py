@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, and output artifacts."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +214,16 @@ class TestValidate:
         monkeypatch.setattr(fracobs.fraccalc, "gl_weights", bad)
         assert main(["validate"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy costs most of a cold import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, fracobs, fracobs.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

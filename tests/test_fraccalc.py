@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fracobs.errors import ConvergenceError
 from fracobs.fraccalc import (
     FracOrder,
+    fast_len,
     gamma,
     gl_derivative,
     gl_weights,
@@ -140,7 +141,7 @@ class TestGlDerivative:
         assert out[1:] == pytest.approx(ref, abs=1e-12)
 
     def test_fft_and_direct_paths_agree(self):
-        # n > 2048 switches to fftconvolve; both must agree closely
+        # n > 2048 switches to the FFT convolution; both must agree closely
         h = 1e-3
         t = np.arange(0, 3.0, h)  # 3000 samples -> fft path
         y = t ** 2
@@ -151,6 +152,19 @@ class TestGlDerivative:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             gl_derivative(np.zeros(4), 0.5, 0.0)
+
+
+class TestFastLen:
+    def test_small_values_by_hand(self):
+        assert [fast_len(n) for n in (1, 7, 11, 13, 17, 49, 97, 121)] == [1, 8, 12, 15, 18, 50, 100, 125]
+
+    def test_matches_scipy_next_fast_len(self):
+        # the FFT sizes of the history sum, hence every trace, stay as
+        # they were when the solver padded with scipy's choice
+        scipy_fft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(0)
+        ns = list(range(1, 20001)) + rng.integers(20001, 10 ** 9, size=2000).tolist()
+        assert [fast_len(n) for n in ns] == [scipy_fft.next_fast_len(n, real=True) for n in ns]
 
 
 class TestMittagLeffler:

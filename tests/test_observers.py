@@ -7,54 +7,64 @@ cascade structure: pair i injects xtilde_{i+1} + lam_i sqrt|e_i| sign(e_i)
 into xhat_i and alpha_i sign(e_i) into xtilde_{i+1}; the n-th pair of the
 proposed variant injects drift + f_tilde, its fault pair filters
 e_f = f_tilde - f_hat; the baseline n-th pair injects theta_tilde.
+
+Everything runs through ``ObserverDynamics.rhs_flat`` on the flat state
+[xhat1, xtilde2, xhat2, xtilde3, xhat3, (f_tilde, f_hat,) theta_tilde],
+with the gates computed from that state: epsilon = 1 opens every gate of
+the fixture, the default epsilon = 0.01 closes them all.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracobs.configs import bundled_config
 from fracobs.errors import SingularGainError
+from fracobs.harness import ExperimentConfig
 from fracobs.observers import (
     FstaParams,
-    GateVector,
     ObserverDynamics,
     ObserverGains,
-    ObserverState,
     baseline_fault_readout,
-    baseline_observer_rhs,
-    estimation_errors,
     fsta_rhs,
     gates,
-    pack_state,
-    proposed_observer_rhs,
     recover_fault_general_b,
     required_gain_count,
     sta_convergence_time,
     state_dim,
     state_labels,
-    unpack_state,
-    zero_state,
 )
-from fracobs.plants import arneodo
+from fracobs.plants import arneodo, genesio_tesi
 
 SQ02 = math.sqrt(0.2)
 SQ03 = math.sqrt(0.3)
 SQ08 = math.sqrt(0.8)
 
+# xhat = (0.3, 0.1, -0.2), xtilde = (0.4, 0.6), y = 0.5:
+# e = (0.2, 0.3, 0.8) and e_f = 0.25 - 0.05 = 0.2
+PROPOSED_FLAT = [0.3, 0.4, 0.1, 0.6, -0.2, 0.25, 0.05, -0.3]
+BASELINE_FLAT = [0.3, 0.4, 0.1, 0.6, -0.2, -0.3]
+Y = 0.5
+PROPOSED_GAINS = dict(lambdas=(1, 2, 3, 4), alphas_gain=(5, 6, 7, 8))
+BASELINE_GAINS = dict(lambdas=(1, 2, 3), alphas_gain=(5, 6, 7))
 
-def proposed_fixture():
-    state = ObserverState(
-        x_hat=np.array([0.3, 0.1, -0.2]),
-        x_tilde=np.array([0.4, 0.6]),
-        theta_tilde=-0.3,
-        f_tilde=0.25,
-        f_hat=0.05,
-    )
-    gains = ObserverGains(lambdas=(1, 2, 3, 4), alphas_gain=(5, 6, 7, 8))
-    return state, gains, arneodo(), 0.5
+
+def dynamics(variant, epsilon=0.01, latching=False, **gains):
+    gains = gains or (PROPOSED_GAINS if variant == "proposed" else BASELINE_GAINS)
+    return ObserverDynamics(variant, ObserverGains(epsilon=epsilon, **gains), arneodo(), latching=latching)
+
+
+def named(variant, d):
+    return dict(zip(state_labels(variant, 3), d))
+
+
+def running_pairs(d):
+    # a running pair injects alpha_i sign(e_i) != 0 into its second variable
+    return [v != 0.0 for v in d[1::2]]
 
 
 class TestFsta:
@@ -117,6 +127,10 @@ class TestGates:
         gv = gates(np.array([0.0, 0.01, -0.01]), epsilon=0.01)
         assert gv.flags.tolist() == [True, True, True]
 
+    def test_rows_accumulate_along_last_axis(self):
+        gv = gates(np.array([[0.001, 0.5, 0.001], [0.0, 0.01, -0.01]]), epsilon=0.01)
+        assert gv.flags.tolist() == [[True, False, False], [True, True, True]]
+
     @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False),
                     min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
@@ -131,105 +145,89 @@ class TestGates:
 
 class TestEstimationErrors:
     def test_definition(self):
-        state, _, _, y = proposed_fixture()
-        e = estimation_errors(state, y)
+        # with lambda = 1 each pair adds sqrt|e_i| to its input, so the
+        # errors the cascade used read back as e1 = y - xhat1 = 0.2,
+        # e2 = xtilde2 - xhat2 = 0.3, e3 = xtilde3 - xhat3 = 0.8
+        flat = BASELINE_FLAT[:5] + [0.0]
+        d = dynamics("baseline", epsilon=1.0, lambdas=(1, 1, 1), alphas_gain=(1, 1, 1)).rhs_flat(Y, flat)
+        e = [(d[0] - 0.4) ** 2, (d[2] - 0.6) ** 2, d[4] ** 2]
         assert e == pytest.approx([0.2, 0.3, 0.8])
 
 
 class TestProposedRhs:
     def test_all_gates_open_hand_values(self):
-        state, gains, plant, y = proposed_fixture()
-        d = proposed_observer_rhs(state, y, gains, plant, GateVector(np.array([1, 1, 1], bool)))
+        d = named("proposed", dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT))
         # pair 1: xtilde_2 + lam1 sqrt|e1|, alpha1 sign(e1)
-        assert d.x_hat[0] == pytest.approx(0.4 + 1 * SQ02)
-        assert d.x_tilde[0] == pytest.approx(5.0)
+        assert d["xhat1"] == pytest.approx(0.4 + 1 * SQ02)
+        assert d["xtilde2"] == pytest.approx(5.0)
         # pair 2: xtilde_3 + lam2 sqrt|e2|
-        assert d.x_hat[1] == pytest.approx(0.6 + 2 * SQ03)
-        assert d.x_tilde[1] == pytest.approx(6.0)
+        assert d["xhat2"] == pytest.approx(0.6 + 2 * SQ03)
+        assert d["xtilde3"] == pytest.approx(6.0)
         # pair 3: a(y, xt2, xt3) + f_tilde + lam3 sqrt|e3|
         drift = 5.5 * 0.5 - 3.5 * 0.4 - 0.8 * 0.6 - 0.5 ** 3  # = 0.745
         assert drift == pytest.approx(0.745)
-        assert d.x_hat[2] == pytest.approx(drift + 0.25 + 3 * SQ08)
-        assert d.f_tilde == pytest.approx(7.0)
+        assert d["xhat3"] == pytest.approx(drift + 0.25 + 3 * SQ08)
+        assert d["f_tilde"] == pytest.approx(7.0)
         # fault pair: theta + lam4 sqrt|e_f|, e_f = 0.25 - 0.05
-        assert d.f_hat == pytest.approx(-0.3 + 4 * SQ02)
-        assert d.theta_tilde == pytest.approx(8.0)
+        assert d["f_hat"] == pytest.approx(-0.3 + 4 * SQ02)
+        assert d["theta_tilde"] == pytest.approx(8.0)
 
     def test_all_gates_closed_only_first_pair_runs(self):
-        state, gains, plant, y = proposed_fixture()
-        d = proposed_observer_rhs(state, y, gains, plant, GateVector(np.zeros(3, bool)))
-        assert d.x_hat[0] == pytest.approx(0.4 + SQ02)
-        assert d.x_tilde[0] == pytest.approx(5.0)
-        assert d.x_hat[1] == 0.0 and d.x_hat[2] == 0.0
-        assert d.x_tilde[1] == 0.0
-        assert d.f_tilde == 0.0 and d.f_hat == 0.0 and d.theta_tilde == 0.0
+        d = named("proposed", dynamics("proposed").rhs_flat(Y, PROPOSED_FLAT))
+        assert d["xhat1"] == pytest.approx(0.4 + SQ02)
+        assert d["xtilde2"] == pytest.approx(5.0)
+        assert d["xhat2"] == 0.0 and d["xhat3"] == 0.0
+        assert d["xtilde3"] == 0.0
+        assert d["f_tilde"] == 0.0 and d["f_hat"] == 0.0 and d["theta_tilde"] == 0.0
 
     def test_negative_error_flips_signs(self):
-        state, gains, plant, y = proposed_fixture()
-        state.x_hat[0] = 0.7  # e1 = -0.2
-        d = proposed_observer_rhs(state, y, gains, plant, GateVector(np.ones(3, bool)))
-        assert d.x_hat[0] == pytest.approx(0.4 - SQ02)
-        assert d.x_tilde[0] == pytest.approx(-5.0)
+        flat = [0.7] + PROPOSED_FLAT[1:]  # e1 = -0.2
+        d = dynamics("proposed", epsilon=1.0).rhs_flat(Y, flat)
+        assert d[0] == pytest.approx(0.4 - SQ02)
+        assert d[1] == pytest.approx(-5.0)
 
     def test_requires_fault_states(self):
-        _, gains, plant, y = proposed_fixture()
-        bare = ObserverState(x_hat=np.zeros(3), x_tilde=np.zeros(2), theta_tilde=0.0)
+        # a baseline-sized state lacks f_tilde and f_hat
         with pytest.raises(ValueError):
-            proposed_observer_rhs(bare, y, gains, plant, GateVector(np.ones(3, bool)))
+            dynamics("proposed", epsilon=1.0).rhs_flat(Y, BASELINE_FLAT)
 
     def test_gain_count_enforced(self):
-        state, _, plant, y = proposed_fixture()
-        short = ObserverGains(lambdas=(1, 2, 3), alphas_gain=(4, 5, 6))
         with pytest.raises(ValueError):
-            proposed_observer_rhs(state, y, short, plant, GateVector(np.ones(3, bool)))
+            dynamics("proposed", lambdas=(1, 2, 3), alphas_gain=(4, 5, 6))
 
 
 class TestBaselineRhs:
     def test_hand_values(self):
-        state, _, plant, y = proposed_fixture()
-        bstate = ObserverState(x_hat=state.x_hat.copy(), x_tilde=state.x_tilde.copy(),
-                               theta_tilde=-0.3)
-        gains = ObserverGains(lambdas=(1, 2, 3), alphas_gain=(5, 6, 7))
-        d = baseline_observer_rhs(bstate, y, gains, GateVector(np.array([1, 1], bool)))
-        assert d.x_hat[0] == pytest.approx(0.4 + SQ02)
-        assert d.x_tilde[0] == pytest.approx(5.0)
-        assert d.x_hat[1] == pytest.approx(0.6 + 2 * SQ03)
-        assert d.x_tilde[1] == pytest.approx(6.0)
+        d = named("baseline", dynamics("baseline", epsilon=1.0).rhs_flat(Y, BASELINE_FLAT))
+        assert d["xhat1"] == pytest.approx(0.4 + SQ02)
+        assert d["xtilde2"] == pytest.approx(5.0)
+        assert d["xhat2"] == pytest.approx(0.6 + 2 * SQ03)
+        assert d["xtilde3"] == pytest.approx(6.0)
         # n-th pair injects theta_tilde, no drift, no fault pair
-        assert d.x_hat[2] == pytest.approx(-0.3 + 3 * SQ08)
-        assert d.theta_tilde == pytest.approx(7.0)
+        assert d["xhat3"] == pytest.approx(-0.3 + 3 * SQ08)
+        assert d["theta_tilde"] == pytest.approx(7.0)
 
     def test_prefix_agreement_hand_case(self):
-        state, pgains, plant, y = proposed_fixture()
-        bstate = ObserverState(x_hat=state.x_hat.copy(), x_tilde=state.x_tilde.copy(),
-                               theta_tilde=state.theta_tilde)
-        bgains = ObserverGains(lambdas=pgains.lambdas[:3], alphas_gain=pgains.alphas_gain[:3])
-        dp = proposed_observer_rhs(state, y, pgains, plant, GateVector(np.ones(3, bool)))
-        db = baseline_observer_rhs(bstate, y, bgains, GateVector(np.ones(2, bool)))
-        assert dp.x_hat[:2] == pytest.approx(db.x_hat[:2])
-        assert dp.x_tilde == pytest.approx(db.x_tilde)
+        dp = dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT)
+        db = dynamics("baseline", epsilon=1.0, lambdas=(1, 2, 3), alphas_gain=(5, 6, 7)).rhs_flat(
+            Y, BASELINE_FLAT
+        )
+        assert dp[:4] == db[:4]
 
     @given(
         st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=8, max_size=8),
         st.lists(st.floats(min_value=0.1, max_value=20), min_size=8, max_size=8),
         st.floats(min_value=-2, max_value=2, allow_nan=False),
-        st.lists(st.booleans(), min_size=3, max_size=3),
+        st.floats(min_value=0.01, max_value=5),
     )
     @settings(max_examples=60, deadline=None)
-    def test_prefix_agreement_property(self, vals, gs, y, open_flags):
+    def test_prefix_agreement_property(self, vals, gs, y, eps):
         # first 2(n-1) derivative components agree whatever the state/gains
-        plant = arneodo()
-        ps = ObserverState(x_hat=np.array(vals[0:3]), x_tilde=np.array(vals[3:5]),
-                           theta_tilde=vals[5], f_tilde=vals[6], f_hat=vals[7])
-        bs = ObserverState(x_hat=np.array(vals[0:3]), x_tilde=np.array(vals[3:5]),
-                           theta_tilde=vals[5])
-        pg = ObserverGains(lambdas=gs[0:4], alphas_gain=gs[4:8])
-        bg = ObserverGains(lambdas=gs[0:3], alphas_gain=gs[4:7])
-        flags = np.array(open_flags, dtype=bool)
-        dp = proposed_observer_rhs(ps, y, pg, plant, GateVector(flags))
-        db = baseline_observer_rhs(bs, y, bg, GateVector(flags[:2]))
-        np.testing.assert_allclose(dp.x_hat[:2], db.x_hat[:2], atol=1e-12)
-        np.testing.assert_allclose(dp.x_tilde, db.x_tilde, atol=1e-12)
+        dp = dynamics("proposed", epsilon=eps, lambdas=gs[0:4], alphas_gain=gs[4:8]).rhs_flat(y, vals)
+        db = dynamics("baseline", epsilon=eps, lambdas=gs[0:3], alphas_gain=gs[4:7]).rhs_flat(
+            y, vals[0:5] + vals[7:]
+        )
+        assert dp[:4] == db[:4]
 
 
 class TestFaultReadout:
@@ -265,6 +263,12 @@ class TestFaultReadout:
             baseline_fault_readout(np.zeros(3), 1.0, plant)
 
 
+def _example1(**observer):
+    raw = bundled_config("example1")
+    raw["observer"].update(observer)
+    return ExperimentConfig.from_dict(raw)
+
+
 class TestStateLayout:
     def test_dims_and_gain_counts(self):
         assert state_dim("proposed", 3) == 8
@@ -282,48 +286,168 @@ class TestStateLayout:
         ]
 
     def test_pack_unpack_round_trip(self):
-        state, _, _, _ = proposed_fixture()
-        flat = pack_state(state, "proposed")
-        back = unpack_state(flat, 3, "proposed")
-        assert back.x_hat == pytest.approx(state.x_hat)
-        assert back.x_tilde == pytest.approx(state.x_tilde)
-        assert back.f_tilde == state.f_tilde
-        assert back.f_hat == state.f_hat
-        assert back.theta_tilde == state.theta_tilde
+        # observer.init is the flat state, entry for entry
+        init = _example1(init=PROPOSED_FLAT).build_init_state("proposed", 3)
+        assert init.tolist() == PROPOSED_FLAT
+        d = named("proposed", init)
+        assert (d["xhat1"], d["xtilde3"], d["f_tilde"], d["f_hat"], d["theta_tilde"]) == (
+            0.3, 0.6, 0.25, 0.05, -0.3,
+        )
 
     def test_zero_state(self):
-        z = zero_state("proposed", 3)
-        assert np.all(pack_state(z, "proposed") == 0.0)
+        cfg = _example1()
+        assert cfg.build_init_state("proposed", 3).tolist() == [0.0] * 8
+        assert cfg.build_init_state("baseline", 3).tolist() == [0.0] * 6
 
 
 class TestObserverDynamics:
     def test_flat_rhs_matches_direct_call(self):
-        state, gains, plant, y = proposed_fixture()
-        dyn = ObserverDynamics("proposed", gains, plant)
-        flat = pack_state(state, "proposed")
-        out = dyn.rhs_flat(y, flat)
-        e = estimation_errors(state, y)
-        gv = gates(e, gains.epsilon)
-        ref = pack_state(proposed_observer_rhs(state, y, gains, plant, gv), "proposed")
-        assert out == pytest.approx(ref)
+        # every open pair is fsta_rhs at xi1 = -e_i, bit for bit
+        lam, alp = PROPOSED_GAINS["lambdas"], PROPOSED_GAINS["alphas_gain"]
+        xh1, xt2, xh2, xt3, xh3, ft, fh, th = PROPOSED_FLAT
+        drift = float(arneodo().a(np.array([Y, xt2, xt3])))
+        expect = []
+        for i, (e, v) in enumerate([(Y - xh1, xt2), (xt2 - xh2, xt3), (xt3 - xh3, drift + ft), (ft - fh, th)]):
+            expect += fsta_rhs(-e, v, FstaParams(lam=lam[i], alpha_gain=alp[i]))
+        assert dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT) == expect
 
     def test_latching_keeps_gates_open(self):
-        _, gains, plant, _ = proposed_fixture()
-        dyn = ObserverDynamics("proposed", gains, plant, latching=True)
-        small = np.array([1e-4, 1e-4, 1e-4])
-        big = np.array([1.0, 1.0, 1.0])
-        assert dyn.gate_flags(small).all()
-        assert dyn.gate_flags(big).all()  # latched
+        small = [-1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0]  # all |e| = 1e-4
+        big = [-1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0]  # all |e| = 1
+        dyn = dynamics("proposed", latching=True)
+        assert all(running_pairs(dyn.rhs_flat(0.0, small)))
+        assert all(running_pairs(dyn.rhs_flat(0.0, big)))  # latched
         dyn.reset()
-        assert not dyn.gate_flags(big).any()
+        assert running_pairs(dyn.rhs_flat(0.0, big)) == [True, False, False, False]
 
     def test_instantaneous_gates_flap(self):
-        _, gains, plant, _ = proposed_fixture()
-        dyn = ObserverDynamics("proposed", gains, plant, latching=False)
-        assert dyn.gate_flags(np.array([1e-4, 1e-4, 1e-4])).all()
-        assert not dyn.gate_flags(np.array([1.0, 1.0, 1.0])).any()
+        dyn = dynamics("proposed", latching=False)
+        assert all(running_pairs(dyn.rhs_flat(0.0, [-1e-4, 0.0] * 4)))
+        assert running_pairs(dyn.rhs_flat(0.0, [-1.0, 0.0] * 4)) == [True, False, False, False]
 
     def test_unknown_variant_rejected(self):
-        _, gains, plant, _ = proposed_fixture()
         with pytest.raises(ValueError):
-            ObserverDynamics("improved", gains, plant)
+            ObserverDynamics("improved", ObserverGains(**PROPOSED_GAINS), arneodo())
+
+
+# ---------------------------------------------------------------------------
+# the flat cascade against the object-based cascade it replaced
+
+
+def _old_sign(v):
+    return 0.0 if v == 0.0 else math.copysign(1.0, v)
+
+
+def _old_drift(plant):
+    # the presets' drift as the object cascade evaluated it: indexed array
+    # components, so the power is numpy's array power
+    b1, b2, b3, b4 = plant.params["betas"]
+    p = 3 if plant.name == "arneodo" else 2
+    return lambda x: -b1 * x[..., 0] - b2 * x[..., 1] - b3 * x[..., 2] + b4 * x[..., 0] ** p
+
+
+def _old_rhs(variant, gains, plant, latch, y, flat):
+    """One step of the object cascade: unpack, errors, gates (OR-latched
+    when ``latch`` is an array), variant right-hand side, pack."""
+    n = plant.n
+    flat = np.asarray(flat, dtype=float)
+    s = SimpleNamespace(
+        x_hat=flat[0:2 * n - 1:2].copy(), x_tilde=flat[1:2 * n - 2:2].copy(), theta_tilde=float(flat[-1])
+    )
+    if variant == "proposed":
+        s.f_tilde, s.f_hat = float(flat[2 * n - 1]), float(flat[2 * n])
+    e = np.empty(n)
+    e[0] = y - s.x_hat[0]
+    e[1:] = s.x_tilde - s.x_hat[1:]
+    gate_count = n if variant == "proposed" else n - 1
+    flags = np.logical_and.accumulate(np.abs(e[:gate_count]) <= gains.epsilon)
+    if latch is not None:
+        latch |= flags
+        flags = latch.copy()
+    lam, alp = gains.lambdas, gains.alphas_gain
+    d_xhat, d_xtilde = np.empty(n), np.empty(n - 1)
+    for i in range(n - 1):
+        enable = 1.0 if (i == 0 or flags[i - 1]) else 0.0
+        sg = _old_sign(e[i])
+        d_xhat[i] = enable * (s.x_tilde[i] + lam[i] * math.sqrt(abs(e[i])) * sg)
+        d_xtilde[i] = enable * alp[i] * sg
+    en_n = 1.0 if flags[n - 2] else 0.0
+    s_n = _old_sign(e[n - 1])
+    out = np.empty(flat.size)
+    if variant == "proposed":
+        drift = float(_old_drift(plant)(np.concatenate(([y], s.x_tilde))))
+        d_xhat[n - 1] = en_n * (drift + s.f_tilde + lam[n - 1] * math.sqrt(abs(e[n - 1])) * s_n)
+        out[2 * n - 1] = en_n * alp[n - 1] * s_n
+        en_f = 1.0 if flags[n - 1] else 0.0
+        e_f = s.f_tilde - s.f_hat
+        s_f = _old_sign(e_f)
+        out[2 * n] = en_f * (s.theta_tilde + lam[n] * math.sqrt(abs(e_f)) * s_f)
+        out[-1] = en_f * alp[n] * s_f
+    else:
+        d_xhat[n - 1] = en_n * (s.theta_tilde + lam[n - 1] * math.sqrt(abs(e[n - 1])) * s_n)
+        out[-1] = en_n * alp[n - 1] * s_n
+    out[0:2 * n - 1:2] = d_xhat
+    out[1:2 * n - 2:2] = d_xtilde
+    return out.tolist()
+
+
+_EPS = 0.1
+# an error of exactly 0 or +-eps on a zero anchor, or any error on any anchor
+_anchor = st.one_of(st.just(0.0), st.floats(min_value=-3, max_value=3))
+_error = st.one_of(
+    st.sampled_from([0.0, _EPS, -_EPS]),
+    st.floats(min_value=-2 * _EPS, max_value=2 * _EPS),
+    st.floats(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def _step(draw):
+    """(y, proposed flat state): each error is anchor + error - anchor."""
+    xh1, xh2, xh3, fh = (draw(_anchor) for _ in range(4))
+    e1, e2, e3, ef = (draw(_error) for _ in range(4))
+    theta = draw(st.floats(min_value=-3, max_value=3))
+    return xh1 + e1, [xh1, xh2 + e2, xh2, xh3 + e3, xh3, fh + ef, fh, theta]
+
+
+class TestCascadeMatchesObjectCascade:
+    """rhs_flat against the old object-based cascade, written out above.
+
+    Every component is bit-identical except the proposed variant's xhat_n
+    on the Arneodo plant: its drift cubes y with Python's float power,
+    where the object cascade used numpy's array power, and the two differ
+    by an ulp in a few percent of arguments. There the bound is 1e-12
+    relative to the size of the summed terms.
+    """
+
+    @given(
+        variant=st.sampled_from(["proposed", "baseline"]),
+        plant=st.sampled_from([arneodo(), genesio_tesi()]),
+        latching=st.booleans(),
+        gains=st.lists(st.floats(min_value=0.1, max_value=50), min_size=8, max_size=8),
+        steps=st.lists(_step(), min_size=1, max_size=4),
+    )
+    @example(variant="proposed", plant=arneodo(), latching=False, gains=[1.0] * 8,
+             steps=[(_EPS, [0.0, _EPS, 0.0, -_EPS, 0.0, _EPS, 0.0, 0.5])])
+    @example(variant="baseline", plant=genesio_tesi(), latching=True, gains=[2.0] * 8,
+             steps=[(0.0, [0.0] * 8), (-_EPS, [0.0, _EPS, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5])])
+    @settings(max_examples=300, deadline=None)
+    def test_flat_matches_object_cascade(self, variant, plant, latching, gains, steps):
+        need = required_gain_count(variant, 3)
+        g = ObserverGains(lambdas=gains[:need], alphas_gain=gains[4:4 + need], epsilon=_EPS)
+        dyn = ObserverDynamics(variant, g, plant, latching=latching)
+        latch = np.zeros(dyn.gate_count, bool) if latching else None
+        cube = variant == "proposed" and plant.name == "arneodo"
+        b1, b2, b3, b4 = plant.params["betas"]
+        for y, flat in steps:
+            if variant == "baseline":
+                flat = flat[:5] + flat[7:]
+            new = dyn.rhs_flat(y, flat)
+            old = _old_rhs(variant, g, plant, latch, y, flat)
+            if cube:
+                # xhat_3' = a(y, xt2, xt3) + f_tilde + lam3 sqrt|e3| sign(e3)
+                xt2, xt3, xh3, ft = flat[1], flat[3], flat[4], flat[5]
+                terms = (b1 * y, b2 * xt2, b3 * xt3, b4 * y ** 3, ft, g.lambdas[2] * math.sqrt(abs(xt3 - xh3)))
+                assert abs(new[4] - old[4]) <= 1e-12 * sum(abs(t) for t in terms)
+                new[4] = old[4]
+            assert new == old

@@ -7,6 +7,7 @@ import pytest
 
 from fracobs.fde import SimGrid, integrate
 from fracobs.plants import (
+    _NOISE_BLOCK,
     FaultSignal,
     NoiseSpec,
     PlantModel,
@@ -16,6 +17,7 @@ from fracobs.plants import (
     genesio_tesi,
     noise_draws,
     plant_preset,
+    _NoiseStream,
 )
 
 
@@ -56,11 +58,17 @@ class TestPresets:
 
     def test_plant_validation(self):
         with pytest.raises(ValueError):
-            PlantModel(n=1, alpha=0.9, a=lambda x: 0.0, b=lambda x: 1.0,
+            PlantModel(n=1, alpha=0.9, drift=lambda x1: 0.0, gain=lambda x1: 1.0,
                        x0=np.zeros(1), params={})
         with pytest.raises(ValueError):
-            PlantModel(n=3, alpha=0.9, a=lambda x: 0.0, b=lambda x: 1.0,
+            PlantModel(n=3, alpha=0.9, drift=lambda *x: 0.0, gain=lambda *x: 1.0,
                        x0=np.zeros(2), params={})
+
+    def test_drift_over_components_matches_rows(self):
+        # the per-step float expression and the column readout are one drift
+        for p in (arneodo(), genesio_tesi()):
+            rows = np.array([[1.0, 2.0, 3.0], [-0.7, 0.3, 2.5]])
+            assert p.a(rows) == pytest.approx([p.drift(*r) for r in rows.tolist()], rel=1e-15)
 
 
 class TestFaultSignal:
@@ -118,6 +126,13 @@ class TestNoise:
         assert abs(draws.mean()) < 3 * math.sqrt(1.5 / 200_000)
         assert abs(draws.var() - 1.5) < 3 * 1.5 * math.sqrt(2 / 200_000)
 
+    def test_stream_matches_noise_draws_across_a_block(self):
+        spec = NoiseSpec(variance=1.5, seed=0)
+        count = _NOISE_BLOCK + 10
+        stream = _NoiseStream(spec)
+        drawn = np.array([stream.sample(0.01 * k) for k in range(1, count + 1)])
+        assert drawn.tobytes() == noise_draws(spec, count).tobytes()
+
     def test_seed_determinism(self):
         a = noise_draws(NoiseSpec(variance=1.5, seed=3), 100)
         b = noise_draws(NoiseSpec(variance=1.5, seed=3), 100)
@@ -155,16 +170,16 @@ class TestAssembleField:
         plant = arneodo()
         noisy = assemble_field(plant, None, NoiseSpec(variance=1.5, seed=0))
         clean = assemble_field(plant, None)
-        x = np.array([0.1, 0.2, 0.3])
+        x = [0.1, 0.2, 0.3]
         d0, d1 = clean.eval(0.5, x), noisy.eval(0.5, x)
-        assert d1[:2] == pytest.approx(d0[:2])
+        assert d1[:2] == d0[:2] == x[1:]
         expect = noise_draws(NoiseSpec(variance=1.5, seed=0), 1)[0]
-        assert d1[2] - d0[2] == pytest.approx(expect)
+        assert d1[2] == d0[2] + expect
 
     def test_noise_held_within_step_redrawn_on_new_t(self):
         plant = arneodo()
         field = assemble_field(plant, None, NoiseSpec(variance=1.5, seed=0))
-        x = np.zeros(3)
+        x = [0.0, 0.0, 0.0]
         v1 = field.eval(0.1, x)[2]
         v1_again = field.eval(0.1, x)[2]
         v2 = field.eval(0.2, x)[2]
@@ -175,8 +190,8 @@ class TestAssembleField:
         plant = arneodo()
         a = assemble_field(plant, None, NoiseSpec(variance=0.0, seed=0))
         b = assemble_field(plant, None, None)
-        x = np.array([0.4, -0.5, 0.6])
-        assert a.eval(1.0, x) == pytest.approx(b.eval(1.0, x))
+        x = [0.4, -0.5, 0.6]
+        assert a.eval(1.0, x) == b.eval(1.0, x)
 
     def test_noisy_integration_reproducible_by_seed(self):
         plant = arneodo()
