@@ -13,11 +13,12 @@ the chattering should drop while the tracking stays.
 
 The bundled 'example2' config runs both variants on the quadratic
 benchmark (all gains 0.5, noise off, fault f(t) = 0.06 sin(t)). Both
-observers consume the IDENTICAL recorded x1 stream, so the comparison
-is paired: every difference in the numbers is the observer, not the
-plant realization.
+observers ride on ONE plant simulation, as two blocks of the same
+march, and read the same output x1 at every step, so the comparison is
+paired: every difference in the numbers is the observer, not the plant
+realization.
 
-Run:  python3 demos/05_observer_comparison.py   (~15 s)
+Run:  python3 demos/05_observer_comparison.py   (~2 s)
 """
 
 from fracobs import ExperimentConfig, bundled_config, compare_observers
@@ -30,7 +31,7 @@ def banner(title):
     print("=" * 72)
 
 
-banner("Paired run on one recorded output stream")
+banner("Paired run on one plant simulation")
 cfg = ExperimentConfig.from_dict(bundled_config("example2"))
 result = compare_observers(cfg)
 print(result.to_text())

@@ -58,6 +58,8 @@ def _load_config(source: str, overrides: list[str], seed: Optional[int]) -> Expe
                 f"no such file, and not a bundled config "
                 f"(bundled: {sorted(BUNDLED_CONFIGS)})",
             ) from None
+    if not isinstance(raw, dict):  # before the overrides index into it
+        raise ConfigError(str(source), f"config root must be an object, got {type(raw).__name__}")
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:

@@ -126,7 +126,6 @@ class Trace:
     grid: SimGrid
     labels: list[str]
     values: np.ndarray
-    seed: Optional[int] = None
     diverged: bool = False
     diverged_at: Optional[float] = None
 
@@ -160,7 +159,6 @@ def integrate(
     grid: SimGrid,
     x0,
     labels: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
 ) -> Trace:
     """Run the explicit GL stepper over the whole grid.
 
@@ -236,7 +234,6 @@ def integrate(
         grid=grid,
         labels=labels,
         values=X,
-        seed=seed,
         diverged=bool(bad),
         diverged_at=bad * h if bad else None,
     )

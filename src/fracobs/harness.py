@@ -1,24 +1,26 @@
-"""Experiment harness: co-simulation of plant and observer, and the
+"""Experiment harness: co-simulation of plant and observers, and the
 fair two-observer comparison.
 
-``run_experiment`` builds one augmented vector field (plant channels
-followed by observer channels) and integrates it once on a shared grid;
-the only plant signal entering the observer block is the measured output
-x1, taken from the previous grid point exactly as the explicit stepper
-sees every other state.
+``run_experiment`` and ``compare_observers`` share one co-simulation,
+``_cosimulate``. It builds one augmented vector field (the plant's
+channels, then one observer block per distinct variant) and integrates
+it once on a shared grid. The
+only plant signal entering an observer block is the measured output x1,
+taken from the previous grid point exactly as the explicit stepper sees
+every other state, so both observers of a comparison read the same
+output stream (same noise draw) in the same march. The comparison then
+re-evaluates their fault-estimate metrics on a common time window before
+declaring a winner.
 
-``compare_observers`` runs the plant once, records its output stream and
-then drives both observer variants with the identical recorded x1, so
-the two candidates are scored against the same plant realization (same
-noise draw); their fault-estimate metrics are additionally re-evaluated
-on a common time window before declaring a winner.
+``replay_observer`` drives one observer from a recorded output stream
+alone; it is the reference the co-simulation is checked against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -83,10 +85,27 @@ def _reject_unknown(d: dict, allowed, path: str) -> None:
             raise ConfigError(where, "unknown key")
 
 
+def _section(raw: dict, key: str, allowed, required: bool = True) -> Optional[dict]:
+    """The object under ``key``; an absent optional section reads as None."""
+    sect = _require(raw, key, "") if required else raw.get(key)
+    if sect is None and not required:
+        return None
+    if not isinstance(sect, dict):
+        raise ConfigError(key, f"expected an object, got {sect!r}")
+    _reject_unknown(sect, allowed, key)
+    return sect
+
+
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
     return float(v)
+
+
+def _as_floats(v, path: str) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(path, f"expected a list of numbers, got {v!r}")
+    return tuple(_as_float(x, path) for x in v)
 
 
 @dataclass(frozen=True)
@@ -130,10 +149,9 @@ class ExperimentConfig:
         )
         name = raw.get("name", "run")
 
-        plant = _require(raw, "plant", "")
-        _reject_unknown(plant, {"preset", "alpha", "betas", "x0"}, "plant")
+        plant = _section(raw, "plant", {"preset", "alpha", "betas", "x0"})
         preset = _require(plant, "preset", "plant")
-        if preset not in PLANT_PRESETS:
+        if not isinstance(preset, str) or preset not in PLANT_PRESETS:
             raise ConfigError("plant.preset", f"unknown preset {preset!r}, expected one of {sorted(PLANT_PRESETS)}")
         p_alpha = plant.get("alpha")
         if p_alpha is not None:
@@ -142,42 +160,44 @@ class ExperimentConfig:
                 raise ConfigError("plant.alpha", f"must satisfy 0 < alpha <= 1, got {p_alpha}")
         p_betas = plant.get("betas")
         if p_betas is not None:
-            p_betas = tuple(_as_float(v, "plant.betas") for v in p_betas)
+            p_betas = _as_floats(p_betas, "plant.betas")
         p_x0 = plant.get("x0")
         if p_x0 is not None:
-            p_x0 = tuple(_as_float(v, "plant.x0") for v in p_x0)
+            p_x0 = _as_floats(p_x0, "plant.x0")
 
-        fault_cfg = raw.get("fault")
+        fault_cfg = _section(
+            raw, "fault", {"kind", "amplitude", "frequency", "onset", "samples", "sample_dt"},
+            required=False,
+        )
         fault_sig = None
         if fault_cfg is not None:
-            _reject_unknown(fault_cfg, {"kind", "amplitude", "frequency", "onset", "samples", "sample_dt"}, "fault")
             kind = fault_cfg.get("kind", "none")
             if kind not in FAULT_KINDS:
                 raise ConfigError("fault.kind", f"unknown kind {kind!r}, expected one of {FAULT_KINDS}")
+            samples = fault_cfg.get("samples")
+            sample_dt = fault_cfg.get("sample_dt")
             try:
                 fault_sig = FaultSignal(
                     kind=kind,
-                    amplitude=float(fault_cfg.get("amplitude", 0.0)),
-                    frequency=float(fault_cfg.get("frequency", 1.0)),
-                    onset=float(fault_cfg.get("onset", 0.0)),
-                    samples=tuple(fault_cfg["samples"]) if "samples" in fault_cfg else None,
-                    sample_dt=fault_cfg.get("sample_dt"),
+                    amplitude=_as_float(fault_cfg.get("amplitude", 0.0), "fault.amplitude"),
+                    frequency=_as_float(fault_cfg.get("frequency", 1.0), "fault.frequency"),
+                    onset=_as_float(fault_cfg.get("onset", 0.0), "fault.onset"),
+                    samples=None if samples is None else _as_floats(samples, "fault.samples"),
+                    sample_dt=None if sample_dt is None else _as_float(sample_dt, "fault.sample_dt"),
                 )
             except ValueError as exc:
                 raise ConfigError("fault", str(exc)) from None
             if fault_sig.kind == "none":
                 fault_sig = None
 
-        noise_cfg = raw.get("noise")
+        noise_cfg = _section(raw, "noise", {"variance"}, required=False)
         variance = 0.0
         if noise_cfg is not None:
-            _reject_unknown(noise_cfg, {"variance"}, "noise")
             variance = _as_float(noise_cfg.get("variance", 0.0), "noise.variance")
             if variance < 0.0:
                 raise ConfigError("noise.variance", f"must be >= 0, got {variance}")
 
-        obs = _require(raw, "observer", "")
-        _reject_unknown(obs, {"variant", "gains", "lambdas", "alphas", "epsilon", "latching", "init"}, "observer")
+        obs = _section(raw, "observer", {"variant", "gains", "lambdas", "alphas", "epsilon", "latching", "init"})
         variant = _require(obs, "variant", "observer")
         if variant not in VARIANTS:
             raise ConfigError("observer.variant", f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -188,8 +208,8 @@ class ExperimentConfig:
         elif "lambdas" in obs or "alphas" in obs:
             if "lambdas" not in obs or "alphas" not in obs:
                 raise ConfigError("observer.lambdas", "lambdas and alphas must be given together")
-            lam = tuple(_as_float(v, "observer.lambdas") for v in obs["lambdas"])
-            alp = tuple(_as_float(v, "observer.alphas") for v in obs["alphas"])
+            lam = _as_floats(obs["lambdas"], "observer.lambdas")
+            alp = _as_floats(obs["alphas"], "observer.alphas")
             if len(lam) != len(alp):
                 raise ConfigError("observer.alphas", f"length {len(alp)} does not match lambdas length {len(lam)}")
             gains_spec = (lam, alp)
@@ -203,10 +223,9 @@ class ExperimentConfig:
             raise ConfigError("observer.latching", f"expected true/false, got {latching!r}")
         init = obs.get("init")
         if init is not None:
-            init = tuple(_as_float(v, "observer.init") for v in init)
+            init = _as_floats(init, "observer.init")
 
-        grid = _require(raw, "grid", "")
-        _reject_unknown(grid, {"h", "t_end", "memory"}, "grid")
+        grid = _section(raw, "grid", {"h", "t_end", "memory"})
         h = _as_float(_require(grid, "h", "grid"), "grid.h")
         if h <= 0.0:
             raise ConfigError("grid.h", f"must be > 0, got {h}")
@@ -354,7 +373,6 @@ def _enrich(
     latching: bool,
     plant_values: np.ndarray,
     obs_values: np.ndarray,
-    seed: Optional[int],
     diverged: bool,
     diverged_at: Optional[float],
 ) -> Trace:
@@ -414,7 +432,6 @@ def _enrich(
         grid=grid,
         labels=labels,
         values=np.column_stack(cols),
-        seed=seed,
         diverged=diverged,
         diverged_at=diverged_at,
     )
@@ -461,45 +478,53 @@ def _compute_metrics(
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, MetricsReport]:
-    """Co-simulate plant and observer once; return enriched trace + metrics.
+def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsReport]]:
+    """Integrate the plant and one observer block per variant in one march.
 
-    The observer block reads nothing from the plant except component 0
-    (the measured output); divergence of any augmented component flags
-    the trace instead of raising.
+    The augmented state is the plant's channels followed by each
+    variant's flat observer state in turn. Every observer block reads
+    nothing from the plant except component 0 (the measured output).
+    Divergence of any augmented component flags the march, and with it
+    every returned trace from that step on, instead of raising.
     """
     grid = cfg.build_grid()
     plant = cfg.build_plant()
-    noise = cfg.build_noise()
-    variant = cfg.observer_variant
-    gains = cfg.build_gains(variant, plant.n)
-    init = cfg.build_init_state(variant, plant.n)
-
-    plant_field = assemble_field(plant, cfg.fault, noise)
-    obs = ObserverDynamics(variant, gains, plant, latching=cfg.latching)
-    nplant = plant.n
-    plant_eval = plant_field.eval
-    obs_rhs = obs.rhs_flat
-    total = nplant + obs.dim
+    n = plant.n
+    plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
+    blocks = []
+    x0 = [plant.x0]
+    lo = n
+    for variant in variants:
+        obs = ObserverDynamics(variant, cfg.build_gains(variant, n), plant, latching=cfg.latching)
+        x0.append(cfg.build_init_state(variant, n))
+        blocks.append((obs.rhs_flat, lo, lo + obs.dim))
+        lo += obs.dim
 
     def aug_eval(t, s):
         v = s.tolist()
-        return plant_eval(t, v[:nplant]) + obs_rhs(v[0], v[nplant:])
+        out = plant_eval(t, v[:n])
+        for rhs, a, b in blocks:
+            out += rhs(v[0], v[a:b])
+        return out
 
-    aug = VectorField(dim=total, eval=aug_eval)
-    x0 = np.concatenate([plant.x0, init])
-    raw = integrate(
-        aug, plant.alpha, grid, x0,
-        labels=[f"x{i+1}" for i in range(nplant)] + obs.labels,
-        seed=cfg.seed,
-    )
-    trace = _enrich(
-        grid, plant, cfg.fault, variant, cfg.epsilon, cfg.latching,
-        raw.values[:, :nplant], raw.values[:, nplant:],
-        cfg.seed, raw.diverged, raw.diverged_at,
-    )
-    report = _compute_metrics(trace, plant, variant, cfg.epsilon)
-    return trace, report
+    raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
+    results = []
+    for variant, (_, a, b) in zip(variants, blocks):
+        trace = _enrich(
+            grid, plant, cfg.fault, variant, cfg.epsilon, cfg.latching,
+            raw.values[:, :n], raw.values[:, a:b], raw.diverged, raw.diverged_at,
+        )
+        results.append((trace, _compute_metrics(trace, plant, variant, cfg.epsilon)))
+    return results
+
+
+def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, MetricsReport]:
+    """Co-simulate plant and observer once; return enriched trace + metrics.
+
+    The observer reads nothing from the plant except the measured output;
+    a diverging run flags the trace instead of raising.
+    """
+    return _cosimulate(cfg, (cfg.observer_variant,))[0]
 
 
 def replay_observer(
@@ -532,7 +557,7 @@ def replay_observer(
         return obs_rhs(y_list[k if k > 0 else 0], s.tolist())
 
     fld = VectorField(dim=obs.dim, eval=evaluate)
-    return integrate(fld, plant.alpha, grid, init, labels=obs.labels, seed=cfg.seed)
+    return integrate(fld, plant.alpha, grid, init, labels=obs.labels)
 
 
 @dataclass
@@ -591,67 +616,36 @@ def compare_observers(
     variant_a: str = "proposed",
     variant_b: str = "baseline",
 ) -> ComparisonResult:
-    """Score two observer variants against one recorded plant run.
+    """Score two observer variants on one co-simulated plant run.
 
-    Both observers consume the identical recorded x1 stream (hence the
-    same noise realization). Win booleans require strictly smaller
-    chattering index / sup error on the common post-settle window; an
-    identical variant compared against itself ties and wins nothing.
+    Both observers run as blocks of one march and read the same plant
+    output x1 at every step (hence the same noise realization); a variant
+    named twice runs once and both slots share its trace. A march has one
+    divergence point, so if either observer diverges both traces are
+    flagged. Win booleans require strictly smaller chattering index / sup
+    error on the common post-settle window, so a variant compared against
+    itself ties and wins nothing.
     """
-    grid = cfg.build_grid()
-    plant = cfg.build_plant()
-    noise = cfg.build_noise()
-    plant_field = assemble_field(plant, cfg.fault, noise)
-    plant_trace = integrate(
-        plant_field, plant.alpha, grid, plant.x0,
-        labels=[f"x{i+1}" for i in range(plant.n)], seed=cfg.seed,
-    )
-    y_rec = plant_trace.values[:, 0]
-
-    traces = {}
-    reports = {}
-    for slot, variant in (("a", variant_a), ("b", variant_b)):
-        if plant_trace.diverged:
-            raw_diverged, raw_at = True, plant_trace.diverged_at
-            obs_values = np.full((grid.n_steps + 1, state_dim(variant, plant.n)), np.nan)
-            obs_values[0] = 0.0
-        else:
-            raw = replay_observer(cfg, variant, y_rec)
-            obs_values = raw.values
-            raw_diverged, raw_at = raw.diverged, raw.diverged_at
-        tr = _enrich(
-            grid, plant, cfg.fault, variant, cfg.epsilon, cfg.latching,
-            plant_trace.values, obs_values, cfg.seed,
-            plant_trace.diverged or raw_diverged, raw_at,
-        )
-        traces[slot] = tr
-        reports[slot] = _compute_metrics(tr, plant, variant, cfg.epsilon)
-
+    variants = tuple(dict.fromkeys((variant_a, variant_b)))
+    runs = dict(zip(variants, _cosimulate(cfg, variants)))
+    (trace_a, report_a), (trace_b, report_b) = runs[variant_a], runs[variant_b]
     result = ComparisonResult(
-        trace_a=traces["a"], trace_b=traces["b"],
-        report_a=reports["a"], report_b=reports["b"],
+        trace_a=trace_a, trace_b=trace_b,
+        report_a=report_a, report_b=report_b,
         variant_a=variant_a, variant_b=variant_b,
     )
 
-    ft_a = reports["a"].fault_from_t
-    ft_b = reports["b"].fault_from_t
-    if ft_a is not None and ft_b is not None and not (traces["a"].diverged or traces["b"].diverged):
+    ft_a, ft_b = report_a.fault_from_t, report_b.fault_from_t
+    if ft_a is not None and ft_b is not None:  # a diverged trace has no settle time
         common = max(ft_a, ft_b)
+        grid = trace_a.grid
+        chat = {v: chattering_index(tr.channel("f_hat"), tr.channel("f_true"), grid, from_t=common)
+                for v, (tr, _) in runs.items()}
+        supe = {v: sup_error(tr.channel("f_true") - tr.channel("f_hat"), grid, from_t=common)
+                for v, (tr, _) in runs.items()}
         result.common_from_t = common
-        chat = {}
-        supe = {}
-        for slot, variant in (("a", variant_a), ("b", variant_b)):
-            tr = traces[slot]
-            chat[variant] = chattering_index(tr.channel("f_hat"), tr.channel("f_true"), grid, from_t=common)
-            supe[variant] = sup_error(tr.channel("f_true") - tr.channel("f_hat"), grid, from_t=common)
-        # self-comparison ties on exact equality; require strict wins
         result.common_chattering = chat
         result.common_sup_error = supe
-        key_a, key_b = variant_a, variant_b
-        if variant_a == variant_b:
-            result.wins_chattering = False
-            result.wins_sup_error = False
-        else:
-            result.wins_chattering = chat[key_a] < chat[key_b]
-            result.wins_sup_error = supe[key_a] < supe[key_b]
+        result.wins_chattering = chat[variant_a] < chat[variant_b]
+        result.wins_sup_error = supe[variant_a] < supe[variant_b]
     return result

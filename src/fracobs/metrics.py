@@ -164,9 +164,3 @@ class MetricsReport:
             else:
                 lines.append(f"{k} = {v}")
         return "\n".join(lines) + "\n"
-
-    def csv_header_row(self) -> tuple[list[str], list[str]]:
-        flat = self.to_flat_dict()
-        header = list(flat.keys())
-        row = ["" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in flat.values()]
-        return header, row

@@ -149,10 +149,6 @@ class ObserverGains:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "alphas_gain", alp)
 
-    @classmethod
-    def uniform(cls, value: float, count: int, epsilon: float = DEFAULT_EPSILON) -> "ObserverGains":
-        return cls(lambdas=(float(value),) * count, alphas_gain=(float(value),) * count, epsilon=epsilon)
-
 
 def required_gain_count(variant: str, n: int) -> int:
     if variant not in VARIANTS:

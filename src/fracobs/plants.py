@@ -146,13 +146,11 @@ class NoiseSpec:
 
     One draw from N(0, variance) per grid step, held constant within the
     step; no 1/sqrt(h) scaling. variance = 0 disables the stream entirely
-    (no RNG is consumed). ``target_channel`` exists for explicitness and
-    must resolve to the last state equation.
+    (no RNG is consumed).
     """
 
     variance: float = 0.0
     seed: int = 0
-    target_channel: int = -1
 
     def __post_init__(self):
         if not (float(self.variance) >= 0.0) or not math.isfinite(float(self.variance)):
@@ -270,16 +268,7 @@ def assemble_field(
     field carrying a live noise stream is single-use: build a fresh one
     per integration run.
     """
-    n = plant.n
-    if noise is not None and noise.variance > 0.0:
-        tgt = noise.target_channel
-        if tgt not in (-1, n - 1):
-            raise ValueError(
-                f"noise target_channel must be the last equation (index {n-1}), got {tgt}"
-            )
-        stream = _NoiseStream(noise)
-    else:
-        stream = None
+    stream = _NoiseStream(noise) if noise is not None and noise.variance > 0.0 else None
 
     drift = plant.drift
     gain = plant.gain
@@ -295,4 +284,4 @@ def assemble_field(
             drive = drive + stream.sample(t)
         return [*x[1:], drive]
 
-    return VectorField(dim=n, eval=evaluate)
+    return VectorField(dim=plant.n, eval=evaluate)

@@ -140,6 +140,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "grid.h" in err
 
+    def test_section_of_wrong_type_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg_dict(grid=5)))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "grid" in err
+        assert not (tmp_path / "cliunit_manifest.json").exists()
+
+    def test_root_of_wrong_type_with_overrides_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert main(["run", str(p), "--out", str(tmp_path), "--seed", "3",
+                     "--set", "grid.h=0.1"]) == 2
+        assert "config root must be an object" in capsys.readouterr().err
+
     def test_unknown_config_source_exits_2(self, tmp_path, capsys):
         rc = main(["run", "no-such-thing", "--out", str(tmp_path)])
         assert rc == 2

@@ -4,9 +4,13 @@ Simulation-backed tests run short horizons on coarse grids; the long
 benchmark reproductions live in test_acceptance.py.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import fracobs.harness
+from fracobs.cli import main
 from fracobs.errors import ConfigError
 from fracobs.harness import (
     ExperimentConfig,
@@ -81,6 +85,25 @@ class TestConfigParsing:
         (lambda d: d["plant"].__setitem__("preset", "lorenz"), "plant.preset"),
         (lambda d: d.__setitem__("output_stride", 0), "output_stride"),
         (lambda d: d.__setitem__("typo_key", 1), ""),
+        # sections must be objects and list keys lists
+        (lambda d: d.__setitem__("grid", 5), "grid"),
+        (lambda d: d.__setitem__("noise", 2), "noise"),
+        (lambda d: d.__setitem__("fault", [1]), "fault"),
+        (lambda d: d.__setitem__("plant", "genesio-tesi-paper"), "plant"),
+        (lambda d: d.__setitem__("observer", None), "observer: expected an object"),
+        (lambda d: d["plant"].__setitem__("preset", ["genesio-tesi-paper"]), "plant.preset: unknown"),
+        (lambda d: d["plant"].__setitem__("betas", 3), "plant.betas"),
+        (lambda d: d["plant"].__setitem__("x0", 0.5), "plant.x0"),
+        (lambda d: (d["observer"].pop("gains"),
+                    d["observer"].update(lambdas=1, alphas=[1, 1, 1, 1])), "observer.lambdas"),
+        (lambda d: (d["observer"].pop("gains"),
+                    d["observer"].update(lambdas=[1, 1, 1, 1], alphas="1111")), "observer.alphas"),
+        (lambda d: d["observer"].__setitem__("init", 0.0), "observer.init"),
+        (lambda d: d["fault"].__setitem__("amplitude", [1]), "fault.amplitude"),
+        (lambda d: d["fault"].__setitem__("frequency", "1"), "fault.frequency"),
+        (lambda d: d["fault"].__setitem__("onset", None), "fault.onset"),
+        (lambda d: d["fault"].update(kind="custom", samples=1.0, sample_dt=0.1), "fault.samples"),
+        (lambda d: d["fault"].update(kind="custom", samples=[1.0], sample_dt=[0.1]), "fault.sample_dt"),
     ])
     def test_validation_names_the_field(self, mutate, field):
         d = gt_dict()
@@ -255,3 +278,88 @@ class TestCompare:
         assert "proposed" in text and "baseline" in text
         assert "chattering_index" in text
         assert "verdict" in text
+
+
+def diverging_proposed_dict():
+    """Only the proposed observer's extra fault pair blows up (at t = 6.8 s);
+    the baseline takes the first three, tame, gain pairs."""
+    d = gt_dict(**{
+        "observer.lambdas": [0.5, 0.5, 0.5, 1e9],
+        "observer.alphas": [0.5, 0.5, 0.5, 1e12],
+    })
+    del d["observer"]["gains"]
+    return d
+
+
+class TestOneMarch:
+    """run and compare share one co-simulation: plant plus observer blocks."""
+
+    @pytest.fixture
+    def count_integrations(self, monkeypatch):
+        calls = []
+        real = fracobs.harness.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].dim)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fracobs.harness, "integrate", counted)
+        return calls
+
+    def test_run_is_one_integration(self, count_integrations):
+        run_experiment(ExperimentConfig.from_dict(gt_dict()))
+        assert count_integrations == [3 + 8]
+
+    def test_compare_is_one_integration(self, count_integrations):
+        compare_observers(ExperimentConfig.from_dict(gt_dict()))
+        assert count_integrations == [3 + 8 + 6]
+
+    def test_self_comparison_runs_the_variant_once(self, count_integrations):
+        compare_observers(ExperimentConfig.from_dict(gt_dict()), "baseline", "baseline")
+        assert count_integrations == [3 + 6]
+
+    def test_traces_share_the_plant_columns(self):
+        cfg = ExperimentConfig.from_dict(gt_dict(**{"noise.variance": 0.7}))
+        res = compare_observers(cfg)
+        for lab in ("x1", "x2", "x3", "f_true"):
+            assert np.array_equal(res.trace_a.channel(lab), res.trace_b.channel(lab)), lab
+
+    @pytest.mark.parametrize("variance", [0.0, 0.7])
+    def test_each_variant_matches_its_own_run(self, variance):
+        # The wider march can reorder the history dot product's reduction
+        # by a few ulps; every channel stays within 1e-12 of the run.
+        cfg = ExperimentConfig.from_dict(gt_dict(**{"noise.variance": variance}))
+        res = compare_observers(cfg)
+        for variant, trace, report in ((res.variant_a, res.trace_a, res.report_a),
+                                       (res.variant_b, res.trace_b, res.report_b)):
+            d = gt_dict(**{"noise.variance": variance, "observer.variant": variant})
+            alone, alone_report = run_experiment(ExperimentConfig.from_dict(d))
+            assert trace.labels == alone.labels
+            err = np.max(np.abs(trace.values - alone.values))
+            assert err <= 1e-12, (variant, err)
+            assert report.diverged == alone_report.diverged
+
+    def test_one_diverging_observer_flags_both_traces(self):
+        cfg = ExperimentConfig.from_dict(diverging_proposed_dict())
+        proposed, _ = run_experiment(cfg)
+        assert proposed.diverged and proposed.diverged_at == pytest.approx(6.8)
+        d = diverging_proposed_dict()
+        d["observer"]["variant"] = "baseline"
+        baseline, _ = run_experiment(ExperimentConfig.from_dict(d))
+        assert not baseline.diverged
+
+        res = compare_observers(cfg)
+        for trace, report in ((res.trace_a, res.report_a), (res.trace_b, res.report_b)):
+            assert trace.diverged and trace.diverged_at == proposed.diverged_at
+            assert report.diverged and report.fault_rmse_post_settle is None
+            for lab in ("x1", "xhat1", "f_hat"):
+                assert np.isnan(trace.channel(lab)[-1]), lab
+        assert res.common_from_t is None
+        assert not (res.wins_chattering or res.wins_sup_error)
+
+    def test_cli_compare_with_one_diverging_observer_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "div.json"
+        p.write_text(json.dumps(diverging_proposed_dict()))
+        assert main(["compare", str(p), "--out", str(tmp_path)]) == 3
+        man = json.loads((tmp_path / "unit_manifest.json").read_text())
+        assert man["diverged"] is True

@@ -161,9 +161,3 @@ class TestMetricsReport:
         assert "settle_ef = never" in text
         assert "chattering_index = n/a" in text
         assert "rmse_post_settle_e1 = 0.125" in text
-
-    def test_csv_row_matches_header(self):
-        rep = MetricsReport(variant="baseline", diverged=True)
-        header, row = rep.csv_header_row()
-        assert len(header) == len(row)
-        assert header[0] == "variant" and row[0] == "baseline"

@@ -144,10 +144,6 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(variance=-0.1)
 
-    def test_bad_target_channel_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_field(arneodo(), None, NoiseSpec(variance=1.0, target_channel=0))
-
 
 class TestAssembleField:
     def test_chain_structure(self):
