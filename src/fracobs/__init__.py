@@ -41,6 +41,7 @@ from .plants import (
     assemble_field,
     fault_value,
     genesio_tesi,
+    noise_signal,
     plant_preset,
 )
 from .observers import (
@@ -92,6 +93,7 @@ __all__ = [
     "assemble_field",
     "fault_value",
     "genesio_tesi",
+    "noise_signal",
     "plant_preset",
     "FstaParams",
     "GateVector",

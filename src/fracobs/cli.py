@@ -175,14 +175,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rep_path = out / f"{cfg.name}_comparison.txt"
     rep_path.write_text(result.to_text() + "\n")
     paths.append(rep_path)
-    diverged = result.trace_a.diverged or result.trace_b.diverged
+    diverged = result.diverged_at is not None
     man_path = out / f"{cfg.name}_manifest.json"
     _write_manifest(man_path, cfg, duration, paths, diverged)
 
     print(result.to_text())
     for p in paths + [man_path]:
         print(p)
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    if diverged:
+        print(f"run diverged at t = {result.diverged_at}", file=sys.stderr)
+        return EXIT_DIVERGED
+    return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -271,9 +271,6 @@ def memory_truncation_error(
     exceeds n_steps, so that window clips neither the kernel nor any
     cross term, and the march runs the full-memory arithmetic operation
     for operation.
-
-    The field is evaluated repeatedly, so it must be stateless (no noise
-    stream); pass closed-form fault signals only.
     """
     full_grid = SimGrid(h=grid.h, t_end=grid.t_end, memory_len=FULL_MEMORY)
     reference = integrate(field, alpha, full_grid, x0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .plants import (
     PlantModel,
     assemble_field,
     fault_value,
+    noise_signal,
     plant_preset,
 )
 
@@ -318,10 +319,12 @@ class ExperimentConfig:
             x0=self.plant_x0,
         )
 
-    def build_noise(self) -> Optional[NoiseSpec]:
+    def build_noise(self) -> Optional[Callable[[float], float]]:
+        """The seeded noise as a function of t on this config's grid."""
         if self.noise_variance <= 0.0:
             return None
-        return NoiseSpec(variance=self.noise_variance, seed=self.seed)
+        return noise_signal(NoiseSpec(variance=self.noise_variance, seed=self.seed),
+                            self.build_grid())
 
     def build_gains(self, variant: str, n: int) -> ObserverGains:
         need = required_gain_count(variant, n)
@@ -389,9 +392,7 @@ def _enrich(
     e[:, 1:] = xtilde - xhat[:, 1:]
 
     times = grid.times()
-    f_true = np.asarray(fault_value(fault, times), dtype=float)
-    if f_true.ndim == 0:
-        f_true = np.full(times.size, float(f_true))
+    f_true = np.array([fault_value(fault, t) for t in times.tolist()])
 
     xt_full = np.column_stack([x[:, 0], xtilde])
     with np.errstate(invalid="ignore"):
@@ -442,13 +443,11 @@ def _compute_metrics(
     plant: PlantModel,
     variant: str,
     epsilon: float,
-    tol: Optional[float] = None,
-    dwell: float = DEFAULT_DWELL,
 ) -> MetricsReport:
     """True-error settle/RMSE metrics plus fault-estimate quality."""
-    tol = default_settle_tol(epsilon) if tol is None else float(tol)
+    tol = default_settle_tol(epsilon)
     report = MetricsReport(variant=variant, diverged=trace.diverged,
-                           settle_tol=tol, settle_dwell=dwell)
+                           settle_tol=tol, settle_dwell=DEFAULT_DWELL)
     if trace.diverged:
         return report
 
@@ -460,7 +459,7 @@ def _compute_metrics(
     channels["ef"] = trace.channel("f_true") - trace.channel("f_hat")
 
     for key, ch in channels.items():
-        st = settle_time(ch, grid, tol=tol, dwell=dwell)
+        st = settle_time(ch, grid, tol=tol, dwell=DEFAULT_DWELL)
         report.settle[key] = st
         report.rmse_post_settle[key] = None if st is None else rmse(ch, grid, from_t=st)
 
@@ -576,6 +575,11 @@ class ComparisonResult:
     wins_chattering: bool = False
     wins_sup_error: bool = False
 
+    @property
+    def diverged_at(self) -> Optional[float]:
+        """t at which the shared march diverged, or None."""
+        return self.trace_a.diverged_at if self.trace_a.diverged else self.trace_b.diverged_at
+
     def to_text(self) -> str:
         va, vb = self.variant_a, self.variant_b
         lines = [f"comparison: {va} vs {vb} (shared plant trace)"]
@@ -594,7 +598,9 @@ class ComparisonResult:
         lines.append(f"{'metric'.ljust(width)}{va:>18}{vb:>18}")
         for k in keys:
             lines.append(f"{k.ljust(width)}{_fmt(rows_a.get(k)):>18}{_fmt(rows_b.get(k)):>18}")
-        if self.common_from_t is None:
+        if self.diverged_at is not None:
+            lines.append(f"common window: none (the run diverged at t = {self.diverged_at:.6g})")
+        elif self.common_from_t is None:
             lines.append("common window: none (a fault-error channel never settles)")
         else:
             lines.append(f"common window: t >= {self.common_from_t:.6g}")

@@ -8,7 +8,8 @@ Every plant here is a commensurate-order chain
 with scalar output y = x_1. ``a`` is the drift nonlinearity, ``b`` the
 input gain (identically 1 for both bundled presets), ``f`` an additive
 actuator fault and the noise a per-step Gaussian disturbance entering the
-same equation.
+same equation. Both are functions of t alone (``fault_value``,
+``noise_signal``), so the assembled field is a pure function of (t, x).
 
 Two chaotic presets are bundled:
 
@@ -26,12 +27,12 @@ the last axis of an array into the same expression, so x may be shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fde import VectorField
+from .fde import SimGrid, VectorField
 
 __all__ = [
     "PlantModel",
@@ -43,6 +44,7 @@ __all__ = [
     "PLANT_PRESETS",
     "fault_value",
     "noise_draws",
+    "noise_signal",
     "assemble_field",
 ]
 
@@ -117,27 +119,24 @@ class FaultSignal:
             object.__setattr__(self, "samples", tuple(float(v) for v in arr))
 
 
-def fault_value(fault: Optional[FaultSignal], t):
-    """Evaluate the fault at scalar or array t (zero before onset)."""
+def fault_value(fault: Optional[FaultSignal], t: float) -> float:
+    """The fault at time t (zero before onset)."""
     if fault is None or fault.kind == "none":
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    t = np.asarray(t, dtype=float)
+        return 0.0
     tau = t - fault.onset
-    live = tau >= 0.0
-    if fault.kind == "cosine":
-        out = fault.amplitude * np.cos(fault.frequency * tau)
-    elif fault.kind == "sine":
-        out = fault.amplitude * np.sin(fault.frequency * tau)
-    elif fault.kind == "step":
-        out = np.full_like(tau, fault.amplitude)
-    elif fault.kind == "ramp":
-        out = fault.amplitude * tau
-    else:  # custom
-        arr = np.asarray(fault.samples, dtype=float)
-        idx = np.clip((tau / fault.sample_dt).astype(int), 0, arr.size - 1)
-        out = arr[idx]
-    out = np.where(live, out, 0.0)
-    return float(out) if out.ndim == 0 else out
+    if tau < 0.0:
+        return 0.0
+    kind = fault.kind
+    if kind == "cosine":
+        return fault.amplitude * math.cos(fault.frequency * tau)
+    if kind == "sine":
+        return fault.amplitude * math.sin(fault.frequency * tau)
+    if kind == "step":
+        return fault.amplitude
+    if kind == "ramp":
+        return fault.amplitude * tau
+    samples = fault.samples  # custom
+    return samples[min(int(tau / fault.sample_dt), len(samples) - 1)]
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ class NoiseSpec:
     """Per-step Gaussian disturbance on the D^alpha x_n equation.
 
     One draw from N(0, variance) per grid step, held constant within the
-    step; no 1/sqrt(h) scaling. variance = 0 disables the stream entirely
-    (no RNG is consumed).
+    step; no 1/sqrt(h) scaling. ``noise_signal`` turns it into a function
+    of t on a grid.
     """
 
     variance: float = 0.0
@@ -158,41 +157,26 @@ class NoiseSpec:
 
 
 def noise_draws(spec: NoiseSpec, count: int) -> np.ndarray:
-    """The first ``count`` draws of the stream for ``spec`` (testing hook)."""
+    """The first ``count`` per-step draws for ``spec``."""
     rng = np.random.default_rng(spec.seed)
     return rng.normal(0.0, math.sqrt(spec.variance), size=int(count))
 
 
-# Draws taken from the generator at once; the stream stays the sequence
-# of noise_draws because the generator fills a block draw by draw.
-_NOISE_BLOCK = 4096
+def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
+    """The noise on ``grid`` as a function of t.
 
-
-def _noise_blocks(spec: NoiseSpec):
-    rng = np.random.default_rng(spec.seed)
-    sigma = math.sqrt(spec.variance)
-    while True:
-        yield from rng.normal(0.0, sigma, size=_NOISE_BLOCK).tolist()
-
-
-class _NoiseStream:
-    """Sequential per-step sampler owned by a single integration run.
-
-    The stepper evaluates the field once per step at strictly increasing
-    times, so a draw is taken whenever t moves; re-evaluation at the same
-    t returns the held value.
+    The step into t = k*h reads draw k-1 of ``noise_draws(spec,
+    grid.n_steps)``, so every evaluation within a step sees the same
+    draw. t = 0 reads draw 0; a t past the grid raises IndexError.
     """
+    draws = memoryview(noise_draws(spec, grid.n_steps))
+    h = grid.h
 
-    def __init__(self, spec: NoiseSpec):
-        self._draws = _noise_blocks(spec)
-        self._t = None
-        self._value = 0.0
+    def noise(t: float) -> float:
+        k = round(t / h) - 1
+        return draws[k if k > 0 else 0]
 
-    def sample(self, t: float) -> float:
-        if t != self._t:
-            self._t = t
-            self._value = next(self._draws)
-        return self._value
+    return noise
 
 
 def _unit_gain(*x) -> float:
@@ -258,18 +242,15 @@ def plant_preset(name: str, **overrides) -> PlantModel:
 def assemble_field(
     plant: PlantModel,
     fault: Optional[FaultSignal] = None,
-    noise: Optional[NoiseSpec] = None,
+    noise: Optional[Callable[[float], float]] = None,
 ) -> VectorField:
     """Build the simulation right-hand side for a plant run.
 
     Components 1..n-1 are exactly the shifted state (the chain); fault and
-    noise enter only the last component. The field takes the state as a
-    sequence of floats (a list, or an array row) and returns a list. A
-    field carrying a live noise stream is single-use: build a fresh one
-    per integration run.
+    noise(t) (see ``noise_signal``) enter only the last component. The
+    field takes the state as a sequence of floats (a list, or an array
+    row) and returns a list; it is a pure function of (t, x).
     """
-    stream = _NoiseStream(noise) if noise is not None and noise.variance > 0.0 else None
-
     drift = plant.drift
     gain = plant.gain
     faulty = fault is not None and fault.kind != "none"
@@ -280,8 +261,8 @@ def assemble_field(
         drive = drift(*x)
         if faulty:
             drive = drive + gain(*x) * fault_value(fault, t)
-        if stream is not None:
-            drive = drive + stream.sample(t)
+        if noise is not None:
+            drive = drive + noise(t)
         return [*x[1:], drive]
 
     return VectorField(dim=plant.n, eval=evaluate)

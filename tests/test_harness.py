@@ -19,7 +19,9 @@ from fracobs.harness import (
     replay_observer,
     run_experiment,
 )
-from fracobs.plants import NoiseSpec, assemble_field, plant_preset
+from fracobs.configs import bundled_config
+from fracobs.fde import SimGrid, integrate
+from fracobs.plants import NoiseSpec, assemble_field, noise_signal, plant_preset
 
 
 def gt_dict(**over):
@@ -216,9 +218,9 @@ class TestReplay:
         # a standalone plant pass with the same seed reproduces the same
         # noise realization, hence the same recorded output
         plant = cfg.build_plant()
-        from fracobs.fde import integrate
         grid = cfg.build_grid()
-        pf = assemble_field(plant, cfg.fault, NoiseSpec(variance=0.7, seed=cfg.seed))
+        pf = assemble_field(plant, cfg.fault,
+                            noise_signal(NoiseSpec(variance=0.7, seed=cfg.seed), grid))
         ptr = integrate(pf, plant.alpha, grid, plant.x0)
         assert np.max(np.abs(ptr.values[:, 0] - trace.channel("x1"))) < 1e-12
 
@@ -226,7 +228,6 @@ class TestReplay:
         # corrupting a non-measured plant channel cannot touch the replay
         cfg = ExperimentConfig.from_dict(gt_dict())
         plant = cfg.build_plant()
-        from fracobs.fde import integrate
         grid = cfg.build_grid()
         ptr = integrate(assemble_field(plant, cfg.fault, None), plant.alpha, grid, plant.x0)
         y = ptr.values[:, 0].copy()
@@ -363,3 +364,30 @@ class TestOneMarch:
         assert main(["compare", str(p), "--out", str(tmp_path)]) == 3
         man = json.loads((tmp_path / "unit_manifest.json").read_text())
         assert man["diverged"] is True
+        assert "run diverged at t = 6.8" in capsys.readouterr().err
+        text = (tmp_path / "unit_comparison.txt").read_text()
+        assert "common window: none (the run diverged at t = 6.8)" in text
+        assert "never settles" not in text
+
+
+class TestBenchmarkSetupContract:
+    """perfbench/run.py's SETUP_CODE builds a run this way; an API change
+    that breaks the sequence breaks every benchmark op."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2-windowed"])
+    def test_setup_sequence_builds_a_field_that_integrates(self, name):
+        raw = bundled_config(name.removesuffix("-windowed"))
+        if name.endswith("-windowed"):
+            del raw["grid"]["memory"]
+            raw["grid"]["t_end"] = 55.0
+        cfg = ExperimentConfig.from_dict(raw)
+        grid = cfg.build_grid()
+        plant = cfg.build_plant()
+        cfg.build_gains(cfg.observer_variant, plant.n)
+        field = fracobs.assemble_field(plant, cfg.fault, cfg.build_noise())
+        if name.endswith("-windowed"):
+            assert grid.memory_len == 5000
+        short = SimGrid(h=grid.h, t_end=100 * grid.h)
+        trace = integrate(field, plant.alpha, short, plant.x0)
+        assert trace.values.shape == (101, plant.n)
+        assert not trace.diverged

@@ -1,13 +1,14 @@
-"""Benchmark plants, fault generators, noise stream, field assembly."""
+"""Benchmark plants, fault generators, the noise table, field assembly."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fracobs.fde import SimGrid, integrate
+from fracobs.configs import bundled_config
+from fracobs.fde import SimGrid, integrate, memory_truncation_error
+from fracobs.harness import ExperimentConfig
 from fracobs.plants import (
-    _NOISE_BLOCK,
     FaultSignal,
     NoiseSpec,
     PlantModel,
@@ -16,8 +17,8 @@ from fracobs.plants import (
     fault_value,
     genesio_tesi,
     noise_draws,
+    noise_signal,
     plant_preset,
-    _NoiseStream,
 )
 
 
@@ -99,12 +100,41 @@ class TestFaultSignal:
 
     def test_none_is_zero_everywhere(self):
         assert fault_value(None, 3.0) == 0.0
-        assert np.all(fault_value(FaultSignal(kind="none"), np.linspace(0, 5, 7)) == 0.0)
+        none = FaultSignal(kind="none")
+        assert all(fault_value(none, t) == 0.0 for t in np.linspace(0, 5, 7).tolist())
 
     def test_array_evaluation(self):
+        # fault_value is float-in, float-out; a time column is a map over it
         f = FaultSignal(kind="cosine", amplitude=1.0, frequency=1.0, onset=1.0)
         t = np.array([0.0, 1.0, 1.0 + math.pi])
-        assert fault_value(f, t) == pytest.approx([0.0, 1.0, -1.0])
+        assert [fault_value(f, v) for v in t.tolist()] == pytest.approx([0.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("fault", [
+        FaultSignal(kind="cosine", amplitude=0.4, frequency=1.3, onset=0.37),
+        FaultSignal(kind="sine", amplitude=0.06, frequency=2.0, onset=0.37),
+        FaultSignal(kind="step", amplitude=-1.5, onset=0.37),
+        FaultSignal(kind="ramp", amplitude=2.0, onset=0.37),
+        FaultSignal(kind="custom", samples=(0.1, -0.3, 0.25), sample_dt=0.7, onset=0.37),
+        FaultSignal(kind="none"),
+        None,
+    ], ids=["cosine", "sine", "step", "ramp", "custom", "none", "None"])
+    def test_each_kind_matches_a_numpy_reference(self, fault):
+        t = SimGrid(h=1e-2, t_end=5.0).times()
+        if fault is None or fault.kind == "none":
+            ref = np.zeros_like(t)
+        else:
+            tau = t - fault.onset
+            wave = {
+                "cosine": lambda: fault.amplitude * np.cos(fault.frequency * tau),
+                "sine": lambda: fault.amplitude * np.sin(fault.frequency * tau),
+                "step": lambda: np.full_like(tau, fault.amplitude),
+                "ramp": lambda: fault.amplitude * tau,
+                "custom": lambda: np.asarray(fault.samples)[
+                    np.clip((tau / fault.sample_dt).astype(int), 0, len(fault.samples) - 1)],
+            }[fault.kind]()
+            ref = np.where(tau >= 0.0, wave, 0.0)
+        got = np.array([fault_value(fault, v) for v in t.tolist()])
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("kw", [
         dict(kind="sawtooth"),
@@ -127,11 +157,25 @@ class TestNoise:
         assert abs(draws.var() - 1.5) < 3 * 1.5 * math.sqrt(2 / 200_000)
 
     def test_stream_matches_noise_draws_across_a_block(self):
+        # the step into t = k*h reads draw k-1, over more steps than one
+        # 4096-draw block of the generator
         spec = NoiseSpec(variance=1.5, seed=0)
-        count = _NOISE_BLOCK + 10
-        stream = _NoiseStream(spec)
-        drawn = np.array([stream.sample(0.01 * k) for k in range(1, count + 1)])
+        grid = SimGrid(h=0.01, t_end=41.06)
+        count = grid.n_steps
+        assert count > 4096
+        noise = noise_signal(spec, grid)
+        drawn = np.array([noise(k * grid.h) for k in range(1, count + 1)])
         assert drawn.tobytes() == noise_draws(spec, count).tobytes()
+
+    def test_ends_of_the_table_do_not_wrap(self):
+        spec = NoiseSpec(variance=1.5, seed=0)
+        grid = SimGrid(h=0.01, t_end=1.0)
+        draws = noise_draws(spec, grid.n_steps)
+        noise = noise_signal(spec, grid)
+        assert noise(0.0) == draws[0] != draws[-1]
+        assert noise(grid.t_end) == draws[-1]
+        with pytest.raises(IndexError):
+            noise(grid.t_end + grid.h)
 
     def test_seed_determinism(self):
         a = noise_draws(NoiseSpec(variance=1.5, seed=3), 100)
@@ -164,7 +208,8 @@ class TestAssembleField:
 
     def test_noise_enters_last_equation_only(self):
         plant = arneodo()
-        noisy = assemble_field(plant, None, NoiseSpec(variance=1.5, seed=0))
+        grid = SimGrid(h=0.5, t_end=1.0)
+        noisy = assemble_field(plant, None, noise_signal(NoiseSpec(variance=1.5, seed=0), grid))
         clean = assemble_field(plant, None)
         x = [0.1, 0.2, 0.3]
         d0, d1 = clean.eval(0.5, x), noisy.eval(0.5, x)
@@ -174,7 +219,8 @@ class TestAssembleField:
 
     def test_noise_held_within_step_redrawn_on_new_t(self):
         plant = arneodo()
-        field = assemble_field(plant, None, NoiseSpec(variance=1.5, seed=0))
+        grid = SimGrid(h=0.1, t_end=1.0)
+        field = assemble_field(plant, None, noise_signal(NoiseSpec(variance=1.5, seed=0), grid))
         x = [0.0, 0.0, 0.0]
         v1 = field.eval(0.1, x)[2]
         v1_again = field.eval(0.1, x)[2]
@@ -183,8 +229,13 @@ class TestAssembleField:
         assert v1 != v2
 
     def test_zero_variance_consumes_no_rng(self):
+        # a config without noise builds none; a zero-variance table adds 0.0
+        d = bundled_config("example1")
+        d["noise"]["variance"] = 0.0
+        assert ExperimentConfig.from_dict(d).build_noise() is None
         plant = arneodo()
-        a = assemble_field(plant, None, NoiseSpec(variance=0.0, seed=0))
+        grid = SimGrid(h=0.5, t_end=2.0)
+        a = assemble_field(plant, None, noise_signal(NoiseSpec(variance=0.0, seed=0), grid))
         b = assemble_field(plant, None, None)
         x = [0.4, -0.5, 0.6]
         assert a.eval(1.0, x) == b.eval(1.0, x)
@@ -193,8 +244,31 @@ class TestAssembleField:
         plant = arneodo()
         grid = SimGrid(h=1e-2, t_end=1.0, memory_len="full")
         runs = [
-            integrate(assemble_field(plant, None, NoiseSpec(variance=1.5, seed=11)),
+            integrate(assemble_field(plant, None, noise_signal(NoiseSpec(variance=1.5, seed=11), grid)),
                       plant.alpha, grid, plant.x0)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].values, runs[1].values)
+
+
+class TestStatelessField:
+    """The plant field is a pure function of (t, x), noise included."""
+
+    @pytest.fixture
+    def example1(self):
+        d = bundled_config("example1")
+        d["grid"]["t_end"] = 2.0
+        cfg = ExperimentConfig.from_dict(d)
+        plant = cfg.build_plant()
+        return assemble_field(plant, cfg.fault, cfg.build_noise()), plant, cfg.build_grid()
+
+    def test_one_noisy_field_integrated_twice(self, example1):
+        field, plant, grid = example1
+        first = integrate(field, plant.alpha, grid, plant.x0)
+        second = integrate(field, plant.alpha, grid, plant.x0)
+        assert np.array_equal(first.values, second.values)
+
+    def test_truncation_error_at_full_window_is_zero_with_noise(self, example1):
+        field, plant, grid = example1
+        rows = memory_truncation_error(field, plant.alpha, grid, plant.x0, [grid.n_steps])
+        assert rows == [(grid.n_steps, 0.0)]
