@@ -39,7 +39,7 @@ banner("1. Relaxation oracle: D^0.9 x = -x, x(0) = 1")
 print("""\
 The exact solution is x(t) = E_0.9(-t^0.9). The solver is explicit and
 first-order accurate, so halving h should roughly halve the error.""")
-field = VectorField(dim=1, eval=lambda t, x: -x)
+field = VectorField(dim=1, eval=lambda t, x: -np.asarray(x))
 print(f"  {'h':>8} {'max rel err on [0.1, 5]':>26}")
 for h in (4e-3, 2e-3, 1e-3):
     grid = SimGrid(h=h, t_end=5.0, memory_len="full")

@@ -16,15 +16,22 @@ The history sum is the divide-and-conquer convolution of Hairer, Lubich
 and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985). ``_solve(lo, hi)``
 steps blocks of at most ``_LEAF`` steps directly; above that it solves
 the left half, adds the left half's contribution to every target in the
-right half with one zero-padded real FFT convolution per state column,
-and solves the right half. Each (source, target) pair is counted once.
-A finite L only zeroes the kernel beyond lag L and clips each cross term
-to the sources and targets that lie within L of the split, so "full" and
-L = n_steps run identical arithmetic. The cost is O(n log^2 n) for full
-memory and O(n log n log L) for a window of L, against O(n L) for the
-per-step sum. The far-field part of step k's sum accumulates in row k of
-the state array before that step is taken, so the march needs no second
-(n+1) x dim array.
+right half with one zero-padded real FFT convolution (one transform pair
+over all state columns at once), and solves the right half. Each
+(source, target) pair is counted once. A finite L only zeroes the kernel
+beyond lag L and clips each cross term to the sources and targets that
+lie within L of the split, so "full" and L = n_steps run identical
+arithmetic. The cost is O(n log^2 n) for full memory and O(n log n log L)
+for a window of L, against O(n L) for the per-step sum.
+
+The far-field part of step k's sum accumulates in row k of the z array
+before that step is taken. A leaf step makes one numpy call chain (the
+near-field dot product), stores z_k, and does the rest on Python floats
+with the operations and order of the array form,
+z_k = h^alpha * phi - (far + near) and x_k = x0 + z_k; so the field
+receives x_{k-1} as a list of floats. The z array is the march's only
+(n+1) x dim array: once the march ends it is shifted by x0 in place and
+becomes the trace.
 
 The FFT changes the summation order, not the sum. Against the per-step
 sum, trajectories of damped linear fields agree to about 1e-14 relative
@@ -108,10 +115,15 @@ class SimGrid:
 
 @dataclass
 class VectorField:
-    """Right-hand side phi(t, x) of D^alpha x = phi(t, x)."""
+    """Right-hand side phi(t, x) of D^alpha x = phi(t, x).
+
+    ``eval(t, x)`` receives the state as a list of ``dim`` floats and
+    returns ``dim`` values: a list of floats normally, though a 1-D array
+    also works.
+    """
 
     dim: int
-    eval: Callable[[float, np.ndarray], np.ndarray]
+    eval: Callable[[float, list[float]], Sequence[float]]
 
 
 @dataclass
@@ -163,8 +175,9 @@ def integrate(
     """Run the explicit GL stepper over the whole grid.
 
     Returns a Trace with n_steps+1 rows. Divergence (any component with
-    magnitude above DIVERGENCE_BOUND, or any non-finite component) flags
-    the trace and stops the march; it does not raise. Integrating
+    magnitude above DIVERGENCE_BOUND, or any NaN component) flags the
+    trace and stops the march; it does not raise. A field whose first
+    result has other than field.dim values raises ValueError. Integrating
     phi == 0 returns x0 in every row exactly, whatever alpha.
     """
     a = _as_order(alpha)
@@ -177,6 +190,7 @@ def integrate(
 
     n = grid.n_steps
     h = grid.h
+    dim = field.dim
     ha = h ** a
     w = gl_weights(a, grid.effective_memory()).weights
     w = w[: np.flatnonzero(w)[-1] + 1]  # alpha = 1 -> [1, -1]
@@ -184,29 +198,41 @@ def integrate(
     wrev = np.ascontiguousarray(w[1:][::-1])  # [w_mem ... w_1]
 
     # Z[k] holds z_k once step k is taken; before that it accumulates the
-    # far-field part of step k's history sum.
-    Z = np.zeros((n + 1, field.dim))
-    X = np.empty((n + 1, field.dim))
-    X[0] = x0
+    # far-field part of step k's history sum. It is the march's only
+    # (n+1) x dim array: the trace is Z shifted by x0 in place.
+    Z = np.zeros((n + 1, dim))
+    x0l = x0.tolist()
     evaluate = field.eval
     # every cross term convolves fewer than min(n, 2 * mem) points; each
     # transform works in a prefix of these two buffers
     longest = fast_len(min(n, 2 * mem))
-    spec = np.empty(longest // 2 + 1, dtype=complex)
-    buf = np.empty(longest)
+    spec = np.empty((longest // 2 + 1, dim), dtype=complex)
+    buf = np.empty((longest, dim))
 
     def leaf(lo: int, hi: int) -> int:
-        # near field: sources in [lo, k) on top of the accumulated far field
+        # near field: sources in [lo, k) on top of the accumulated far
+        # field. Python floats, same IEEE operations in the same order as
+        # the array form z = ha * phi - (far + near), x = x0 + z. At lo = 1
+        # x is x0 itself, which keeps a -0.0 in x0 as the field's input.
+        far = Z[lo:hi].tolist()
+        x = x0l if lo == 1 else [u + v for u, v in zip(x0l, Z[lo - 1].tolist())]
         for k in range(lo, hi):
-            phi = np.asarray(evaluate(k * h, X[k - 1]), dtype=float)
+            phi = evaluate(k * h, x)
+            if k == 1 and len(phi) != dim:
+                raise ValueError(f"field returned {len(phi)} values, field.dim is {dim}")
             m = k - lo if k - lo < mem else mem
-            z = Z[k]
             if m:
-                z += wrev[mem - m:] @ Z[k - m:k]
-            np.subtract(ha * phi, z, out=z)
-            xk = X[k]
-            np.add(x0, z, out=xk)
-            if not (np.abs(xk).max() <= DIVERGENCE_BOUND):
+                near = np.dot(wrev[mem - m:], Z[k - m:k]).tolist()
+                z = [ha * p - (f + q) for p, f, q in zip(phi, far[k - lo], near)]
+            else:
+                z = [ha * p - f for p, f in zip(phi, far[k - lo])]
+            Z[k] = z
+            x = [u + v for u, v in zip(x0l, z)]
+            # the sum of |x_i| is at least max |x_i| and NaN or inf fails
+            # it, so the exact per-component test runs only when it fails
+            if not (sum(map(abs, x)) <= DIVERGENCE_BOUND) and not all(
+                abs(v) <= DIVERGENCE_BOUND for v in x
+            ):
                 return k
         return 0
 
@@ -219,21 +245,22 @@ def integrate(
         nfft = fast_len(ns + nt - 1)
         kernel = np.fft.rfft(w[1:ns + nt], n=nfft)
         sp, out = spec[: nfft // 2 + 1], buf[:nfft]
-        for i in range(field.dim):
-            np.fft.rfft(Z[s0:mid, i], n=nfft, out=sp)
-            sp *= kernel
-            np.fft.irfft(sp, n=nfft, out=out)
-            Z[mid:mid + nt, i] += out[ns - 1:ns - 1 + nt]
+        np.fft.rfft(Z[s0:mid], n=nfft, axis=0, out=sp)
+        sp *= kernel[:, None]
+        np.fft.irfft(sp, n=nfft, axis=0, out=out)
+        Z[mid:mid + nt] += out[ns - 1:ns - 1 + nt]
 
     with np.errstate(over="ignore", invalid="ignore"):
         bad = _solve(1, n + 1, leaf, far_field)
     if bad:
-        X[bad + 1:] = np.nan
+        Z[bad + 1:] = np.nan
+    Z[1:] += x0
+    Z[0] = x0
 
     return Trace(
         grid=grid,
         labels=labels,
-        values=X,
+        values=Z,
         diverged=bool(bad),
         diverged_at=bad * h if bad else None,
     )

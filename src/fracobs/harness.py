@@ -500,10 +500,9 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
         lo += obs.dim
 
     def aug_eval(t, s):
-        v = s.tolist()
-        out = plant_eval(t, v[:n])
+        out = plant_eval(t, s[:n])
         for rhs, a, b in blocks:
-            out += rhs(v[0], v[a:b])
+            out += rhs(s[0], s[a:b])
         return out
 
     raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
@@ -553,7 +552,7 @@ def replay_observer(
 
     def evaluate(t, s):
         k = int(round(t / h)) - 1
-        return obs_rhs(y_list[k if k > 0 else 0], s.tolist())
+        return obs_rhs(y_list[k if k > 0 else 0], s)
 
     fld = VectorField(dim=obs.dim, eval=evaluate)
     return integrate(fld, plant.alpha, grid, init, labels=obs.labels)

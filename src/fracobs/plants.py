@@ -3,13 +3,14 @@
 Every plant here is a commensurate-order chain
 
     D^alpha x_i = x_{i+1},            i = 1..n-1
-    D^alpha x_n = a(x) + b(x) * (f(t) + noise)
+    D^alpha x_n = a(x) + b(x) * f(t) + noise(t)
 
 with scalar output y = x_1. ``a`` is the drift nonlinearity, ``b`` the
-input gain (identically 1 for both bundled presets), ``f`` an additive
-actuator fault and the noise a per-step Gaussian disturbance entering the
-same equation. Both are functions of t alone (``fault_value``,
-``noise_signal``), so the assembled field is a pure function of (t, x).
+input gain on the fault (identically 1 for both bundled presets), ``f``
+an additive actuator fault and the noise a per-step Gaussian disturbance
+entering the same equation, not scaled by ``b``. Both are functions of t
+alone (``fault_value``, ``noise_signal``), so the assembled field is a
+pure function of (t, x).
 
 Two chaotic presets are bundled:
 
@@ -247,17 +248,16 @@ def assemble_field(
     """Build the simulation right-hand side for a plant run.
 
     Components 1..n-1 are exactly the shifted state (the chain); fault and
-    noise(t) (see ``noise_signal``) enter only the last component. The
-    field takes the state as a sequence of floats (a list, or an array
-    row) and returns a list; it is a pure function of (t, x).
+    noise(t) (see ``noise_signal``) enter only the last component, as
+    a(x) + b(x) * f(t) + noise(t). The field takes the state as a sequence
+    of floats (``integrate`` passes a list) and returns a list; it is a
+    pure function of (t, x).
     """
     drift = plant.drift
     gain = plant.gain
     faulty = fault is not None and fault.kind != "none"
 
     def evaluate(t, x):
-        if isinstance(x, np.ndarray):  # a row, as integrate passes it
-            x = x.tolist()
         drive = drift(*x)
         if faulty:
             drive = drive + gain(*x) * fault_value(fault, t)

@@ -77,7 +77,7 @@ def check_solver_vs_mittag_leffler() -> CheckResult:
     """Relaxation x' = -x, alpha = 0.9 against x0 * E_a(-t^a)."""
     a = 0.9
     grid = fde.SimGrid(h=1e-3, t_end=5.0, memory_len="full")
-    field = fde.VectorField(dim=1, eval=lambda t, x: -x)
+    field = fde.VectorField(dim=1, eval=lambda t, x: -np.asarray(x))
     trace = fde.integrate(field, a, grid, np.array([1.0]))
     t = trace.times()
     lo = int(round(0.1 / grid.h))
@@ -92,7 +92,7 @@ def check_solver_vs_mittag_leffler() -> CheckResult:
 def check_solver_vs_exponential() -> CheckResult:
     """alpha = 1 run reduces to explicit Euler; compare with exp(-t) at t=1."""
     grid = fde.SimGrid(h=1e-3, t_end=1.0, memory_len="full")
-    field = fde.VectorField(dim=1, eval=lambda t, x: -x)
+    field = fde.VectorField(dim=1, eval=lambda t, x: -np.asarray(x))
     trace = fde.integrate(field, 1.0, grid, np.array([1.0]))
     err = abs(float(trace.values[-1, 0]) - math.exp(-1.0))
     tol = TOLERANCES["solver-vs-exponential"]

@@ -19,7 +19,7 @@ from fracobs.fraccalc import gl_weights, mittag_leffler
 
 
 def relax(dim=1):
-    return VectorField(dim=dim, eval=lambda t, x: -x)
+    return VectorField(dim=dim, eval=lambda t, x: -np.asarray(x))
 
 
 class TestSimGrid:
@@ -124,10 +124,37 @@ class TestIntegrateBasics:
             integrate(relax(dim=2), 0.9, g, np.array([1.0]))
 
 
+class TestFieldContract:
+    # 300 steps span several leaves, so x is also rebuilt from a stored row
+    GRID = SimGrid(h=1e-2, t_end=3.0, memory_len="full")
+
+    def test_field_receives_a_list_of_floats(self):
+        seen = []
+
+        def f(t, x):
+            seen.append(x)
+            return [-v for v in x]
+
+        integrate(VectorField(dim=3, eval=f), 0.9, self.GRID, [1.0, -2.0, 0.5])
+        assert len(seen) == self.GRID.n_steps
+        assert all(type(x) is list and all(type(v) is float for v in x) for x in seen)
+
+    def test_list_and_array_results_give_the_same_trace(self):
+        x0 = [1.0, -2.0, 0.5]
+        as_list = integrate(VectorField(dim=3, eval=lambda t, x: [-v for v in x]), 0.9, self.GRID, x0)
+        as_array = integrate(relax(dim=3), 0.9, self.GRID, x0)
+        assert np.array_equal(as_list.values, as_array.values)
+
+    @pytest.mark.parametrize("out", [[1.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_wrong_length_result_raises(self, out):
+        with pytest.raises(ValueError, match=f"returned {len(out)} values, field.dim is 3"):
+            integrate(VectorField(dim=3, eval=lambda t, x: out), 0.9, self.GRID, [0.0] * 3)
+
+
 class TestDivergenceFlag:
     def test_blowup_is_flagged_not_raised(self):
         g = SimGrid(h=0.1, t_end=5.0, memory_len="full")
-        f = VectorField(dim=1, eval=lambda t, x: x * x)
+        f = VectorField(dim=1, eval=lambda t, x: np.square(x))
         tr = integrate(f, 1.0, g, np.array([3.0]))
         assert tr.diverged
         assert tr.diverged_at is not None
@@ -143,6 +170,34 @@ class TestDivergenceFlag:
         f = VectorField(dim=1, eval=lambda t, x: np.array([math.inf]))
         tr = integrate(f, 0.9, g, np.array([0.0]))
         assert tr.diverged
+
+    @pytest.mark.parametrize("x0, flags", [
+        ([DIVERGENCE_BOUND], False),
+        ([math.nextafter(DIVERGENCE_BOUND, math.inf)], True),
+        ([DIVERGENCE_BOUND / 10] * 11, False),  # sum 1.1e8, each at 1e7
+    ])
+    def test_bound_applies_to_each_component(self, x0, flags):
+        # phi == 0 keeps every x_k exactly at x0, so step 1 tests x0 itself
+        g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
+        zero = [0.0] * len(x0)
+        tr = integrate(VectorField(dim=len(x0), eval=lambda t, x: zero), 0.9, g, x0)
+        assert tr.diverged is flags
+        assert tr.diverged_at == (pytest.approx(0.1) if flags else None)
+
+    @pytest.mark.parametrize("col, bad", [(2, math.nan), (0, -math.inf)])
+    def test_nonfinite_component_flags_at_its_step(self, col, bad):
+        g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
+
+        def f(t, x):
+            out = [0.0, 0.0, 0.0]
+            if round(t / g.h) == 4:
+                out[col] = bad
+            return out
+
+        tr = integrate(VectorField(dim=3, eval=f), 0.9, g, [1.0, 1.0, 1.0])
+        assert tr.diverged and tr.diverged_at == pytest.approx(0.4)
+        assert np.all(tr.values[:4] == 1.0)
+        assert np.all(np.isnan(tr.values[5:]))
 
     def test_nan_field_output_flags(self):
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
@@ -171,7 +226,7 @@ def damped(dim, q, ha):
     # a decaying rotation with forcing: not chaotic, so differences stay at
     # roundoff size; q = h^alpha * decay rate keeps the explicit march stable
     A = q / ha * (-np.eye(dim) + 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1)))
-    return VectorField(dim=dim, eval=lambda t, x: A @ x + np.cos(t))
+    return VectorField(dim=dim, eval=lambda t, x: A @ np.asarray(x) + np.cos(t))
 
 
 def march(n, mem, dim, alpha, q, x0):
@@ -196,6 +251,9 @@ DEEP = [
     march(2000, "full", 3, 0.6, 0.1, [1.0, -2.0, 0.5]),
     march(1999, 129, 2, 0.35, 0.3, [2.0, 1.0]),
     march(2000, 700, 4, 0.9, 0.02, [0.1, 0.2, -0.3, 3.0]),
+    # the widths the harness marches: plant + proposed, plant + both observers
+    march(2000, "full", 11, 0.8, 0.1, np.linspace(-2.0, 2.0, 11)),
+    march(3000, 700, 17, 0.7, 0.1, np.linspace(3.0, -1.0, 17)),
 ]
 
 
@@ -204,6 +262,8 @@ class TestFastHistorySum:
     @example(DEEP[0])
     @example(DEEP[1])
     @example(DEEP[2])
+    @example(DEEP[3])
+    @example(DEEP[4])
     @settings(max_examples=30, deadline=None)
     def test_matches_direct_sum(self, case):
         grid, f, alpha, x0 = case

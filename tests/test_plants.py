@@ -217,6 +217,20 @@ class TestAssembleField:
         expect = noise_draws(NoiseSpec(variance=1.5, seed=0), 1)[0]
         assert d1[2] == d0[2] + expect
 
+    def test_gain_scales_the_fault_but_not_the_noise(self):
+        def drift(x1, x2, x3):
+            return x1 * x2 - x3
+
+        plant = PlantModel(n=3, alpha=0.9, drift=drift, gain=lambda *x: 2.0,
+                           x0=[0.0, 0.0, 0.0], params={})
+        fault = FaultSignal(kind="sine", amplitude=0.7, frequency=1.3)
+        grid = SimGrid(h=0.5, t_end=2.0)
+        noise = noise_signal(NoiseSpec(variance=1.5, seed=0), grid)
+        field = assemble_field(plant, fault, noise)
+        x = [0.4, -0.5, 0.6]
+        for t in (0.5, 1.0, 1.5):
+            assert field.eval(t, x)[2] == drift(*x) + 2.0 * fault_value(fault, t) + noise(t)
+
     def test_noise_held_within_step_redrawn_on_new_t(self):
         plant = arneodo()
         grid = SimGrid(h=0.1, t_end=1.0)
