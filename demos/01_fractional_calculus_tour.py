@@ -25,22 +25,20 @@ def banner(title):
     print("=" * 72)
 
 
-banner("1. GL weight tables: one recurrence, three regimes")
+banner("1. GL weights: one recurrence, three regimes")
 print("""\
 w_0 = 1, w_j = w_{j-1} * (1 - (alpha + 1)/j). For 0 < alpha < 1 every
 weight after w_0 is negative and the partial sums fall monotonically
 toward zero -- that slow decay IS the system's memory.""")
 for alpha in (0.5, 0.97, 1.0):
-    tbl = gl_weights(alpha, 8)
-    w = ", ".join(f"{(0.0 if x == 0 else x):+.5f}" for x in tbl.weights)
+    w = ", ".join(f"{(0.0 if x == 0 else x):+.5f}" for x in gl_weights(alpha, 8))
     print(f"  alpha = {alpha:<4} -> [{w}]")
 print("""
-At alpha = 1 the table collapses to [1, -1, 0, ...]: the fractional
+At alpha = 1 the weights collapse to [1, -1, 0, ...]: the fractional
 derivative degenerates into the ordinary first difference, so every
 integer-order result comes out of the same code path.""")
 
-tbl = gl_weights(0.97, 1000)
-partial = np.cumsum(tbl.weights)
+partial = np.cumsum(gl_weights(0.97, 1000))
 print(f"partial sums S_K of w_j(0.97):  S_10 = {partial[10]:.5f}   "
       f"S_100 = {partial[100]:.6f}   S_1000 = {partial[1000]:.3e}")
 print("(S_K -> 0 from above; truncating the tail of the sum is what the")

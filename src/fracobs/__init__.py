@@ -18,8 +18,6 @@ from importlib.metadata import PackageNotFoundError, version
 
 from .errors import ConfigError, ConvergenceError, SingularGainError
 from .fraccalc import (
-    FracOrder,
-    GlWeightTable,
     gamma,
     gl_derivative,
     gl_weights,
@@ -46,12 +44,10 @@ from .plants import (
 )
 from .observers import (
     FstaParams,
-    GateVector,
     ObserverGains,
     baseline_fault_readout,
     fsta_rhs,
     gates,
-    recover_fault_general_b,
     sta_convergence_time,
 )
 from .metrics import MetricsReport, chattering_index, settle_time
@@ -74,8 +70,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "SingularGainError",
-    "FracOrder",
-    "GlWeightTable",
     "gamma",
     "gl_derivative",
     "gl_weights",
@@ -96,12 +90,10 @@ __all__ = [
     "noise_signal",
     "plant_preset",
     "FstaParams",
-    "GateVector",
     "ObserverGains",
     "baseline_fault_readout",
     "fsta_rhs",
     "gates",
-    "recover_fault_general_b",
     "sta_convergence_time",
     "MetricsReport",
     "chattering_index",

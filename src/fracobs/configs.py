@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 
+__all__ = ["BUNDLED_CONFIGS", "bundled_config"]
+
 # Gate threshold 0.1 instead of the package default 0.01: with this
 # gain set stage 2 runs in a ~11 Hz limit cycle and the third internal
 # error e3 has an rms near 0.94 (h = 1e-3, noise off), so even at 0.1

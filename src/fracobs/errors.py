@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "ConvergenceError", "SingularGainError"]
+
 
 class ConfigError(ValueError):
     """Raised when an experiment config is malformed.

@@ -192,7 +192,7 @@ def integrate(
     h = grid.h
     dim = field.dim
     ha = h ** a
-    w = gl_weights(a, grid.effective_memory()).weights
+    w = gl_weights(a, grid.effective_memory())
     w = w[: np.flatnonzero(w)[-1] + 1]  # alpha = 1 -> [1, -1]
     mem = len(w) - 1
     wrev = np.ascontiguousarray(w[1:][::-1])  # [w_mem ... w_1]

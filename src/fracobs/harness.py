@@ -42,6 +42,7 @@ from .observers import (
     ObserverGains,
     VARIANTS,
     baseline_fault_readout,
+    gate_count,
     gates,
     required_gain_count,
     state_dim,
@@ -64,6 +65,7 @@ __all__ = [
     "compare_observers",
     "ComparisonResult",
     "config_hash",
+    "replay_observer",
     "SHORT_MEMORY_DEFAULT",
     "SHORT_MEMORY_HORIZON",
 ]
@@ -149,6 +151,8 @@ class ExperimentConfig:
             "",
         )
         name = raw.get("name", "run")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError("name", f"expected a non-empty file name without path separators, got {name!r}")
 
         plant = _section(raw, "plant", {"preset", "alpha", "betas", "x0"})
         preset = _require(plant, "preset", "plant")
@@ -249,11 +253,11 @@ class ExperimentConfig:
         if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
             raise ConfigError("output_stride", f"expected a positive integer, got {stride!r}")
         seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed", f"expected an integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
 
         return cls(
-            name=str(name),
+            name=name,
             plant_preset_name=preset,
             observer_variant=variant,
             h=h,
@@ -403,8 +407,8 @@ def _enrich(
         else:
             f_hat = baseline_fault_readout(xt_full, theta, plant)
 
-        gate_count = n if variant == "proposed" else n - 1
-        gate_cols = gates(e[:, :gate_count], epsilon).flags
+        m = gate_count(variant, n)
+        gate_cols = gates(e[:, :m], epsilon)
         if latching:
             gate_cols = np.maximum.accumulate(gate_cols, axis=0)
 
@@ -426,8 +430,8 @@ def _enrich(
         labels.append("f_hat")
     cols.append(theta)
     labels.append("theta_tilde")
-    cols += [gate_cols[:, i].astype(float) for i in range(gate_count)]
-    labels += [f"E{i+1}" for i in range(gate_count)]
+    cols += [gate_cols[:, i].astype(float) for i in range(m)]
+    labels += [f"E{i+1}" for i in range(m)]
 
     return Trace(
         grid=grid,

@@ -49,14 +49,13 @@ from .plants import PlantModel
 __all__ = [
     "VARIANTS",
     "ObserverGains",
-    "GateVector",
     "FstaParams",
     "fsta_rhs",
     "sta_convergence_time",
     "gates",
     "baseline_fault_readout",
-    "recover_fault_general_b",
     "required_gain_count",
+    "gate_count",
     "state_dim",
     "state_labels",
     "ObserverDynamics",
@@ -156,18 +155,9 @@ def required_gain_count(variant: str, n: int) -> int:
     return n + 1 if variant == "proposed" else n
 
 
-@dataclass(frozen=True)
-class GateVector:
-    """Cascade enable flags E_1..E_m (monotone non-increasing in i)."""
-
-    flags: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", np.asarray(self.flags, dtype=bool))
-
-
-def gates(errors: np.ndarray, epsilon: float) -> GateVector:
-    """Instantaneous gates: E_i = 1 iff |e_j| <= epsilon for all j <= i.
+def gates(errors: np.ndarray, epsilon: float) -> np.ndarray:
+    """Instantaneous gates as a boolean array: E_i = 1 iff |e_j| <= epsilon
+    for all j <= i, so the flags never rise along i.
 
     The errors run along the last axis, so a (rows, m) array of error
     columns gives the gate columns of a whole trace.
@@ -175,7 +165,7 @@ def gates(errors: np.ndarray, epsilon: float) -> GateVector:
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     within = np.abs(np.asarray(errors, dtype=float)) <= epsilon
-    return GateVector(np.logical_and.accumulate(within, axis=-1))
+    return np.logical_and.accumulate(within, axis=-1)
 
 
 def baseline_fault_readout(x_tilde_full: np.ndarray, theta_tilde, plant: PlantModel):
@@ -193,19 +183,16 @@ def baseline_fault_readout(x_tilde_full: np.ndarray, theta_tilde, plant: PlantMo
     return float(out) if np.ndim(out) == 0 else out
 
 
-def recover_fault_general_b(b_at_xhat: float, d_hat: float) -> float:
-    """Recover fhat = D_hat / b for a general (non-unit) input gain."""
-    b = float(b_at_xhat)
-    if abs(b) < 1e-9:
-        raise SingularGainError(f"input gain {b!r} is numerically singular")
-    return float(d_hat) / b
-
-
 # ---------------------------------------------------------------------------
 # flat-vector adapters used by the simulation harness
 
 def state_dim(variant: str, n: int) -> int:
     return 2 * n + 2 if variant == "proposed" else 2 * n
+
+
+def gate_count(variant: str, n: int) -> int:
+    """Number of cascade gates E_1..E_m: every pair after the first has one."""
+    return n if variant == "proposed" else n - 1
 
 
 def state_labels(variant: str, n: int) -> list[str]:
@@ -245,11 +232,10 @@ class ObserverDynamics:
                 f"got {len(gains.lambdas)}"
             )
         self.variant = variant
-        self.gains = gains
         self.plant = plant
         self.n = plant.n
         self.latching = bool(latching)
-        self.gate_count = plant.n if variant == "proposed" else plant.n - 1
+        self.gate_count = gate_count(variant, plant.n)
         self.dim = state_dim(variant, plant.n)
         self.labels = state_labels(variant, plant.n)
         self._lam = gains.lambdas

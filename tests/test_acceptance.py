@@ -325,7 +325,7 @@ def test_c5_invariant_suite():
 
     mono = all(
         (lambda f: all(f[i + 1] <= f[i] for i in range(len(f) - 1)))(
-            gates(rng.normal(size=5), 0.3).flags
+            gates(rng.normal(size=5), 0.3)
         )
         for _ in range(200)
     )

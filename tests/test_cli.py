@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, and output artifacts."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +141,11 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "grid.h" in err
+        assert main(["run", str(cfg_file), "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        rc = main(["run", str(cfg_file), "--out", str(tmp_path / "sub"), "--set", "name=../escaped"])
+        assert rc == 2
+        assert not list(tmp_path.glob("escaped_*"))
 
     def test_section_of_wrong_type_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -218,13 +225,10 @@ class TestValidate:
         assert "tolerances:" in out
 
     def test_detects_broken_weights(self, capsys, monkeypatch):
-        from fracobs.fraccalc import GlWeightTable
-
         real = fracobs.fraccalc.gl_weights
 
         def bad(alpha, k_max):
-            tbl = real(alpha, k_max)
-            return GlWeightTable(alpha=tbl.alpha, weights=np.abs(tbl.weights))
+            return np.abs(real(alpha, k_max))
 
         monkeypatch.setattr(fracobs.fraccalc, "gl_weights", bad)
         assert main(["validate"]) == 1
@@ -242,3 +246,16 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_come_from_submodule_all():
+    # every re-export resolves and is the object a submodule declares in
+    # its own __all__, so no stale or undeclared name can linger
+    subs = [importlib.import_module(f"fracobs.{m.name}") for m in pkgutil.iter_modules(fracobs.__path__)]
+    for name in fracobs.__all__:
+        obj = getattr(fracobs, name)
+        if name == "__version__":
+            continue
+        owners = [m for m in subs if name in getattr(m, "__all__", ())]
+        assert owners, name
+        assert all(getattr(m, name) is obj for m in owners), name

@@ -211,7 +211,7 @@ class TestDivergenceFlag:
 def direct_gl(f, alpha, grid, x0):
     """The per-step history sum that integrate's FFT recursion replaces."""
     n, h, mem = grid.n_steps, grid.h, grid.effective_memory()
-    wrev = gl_weights(alpha, mem).weights[1:][::-1]
+    wrev = gl_weights(alpha, mem)[1:][::-1]
     Z = np.zeros((n + 1, x0.size))
     X = np.empty_like(Z)
     X[0] = x0

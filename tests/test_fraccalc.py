@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fracobs.errors import ConvergenceError
 from fracobs.fraccalc import (
-    FracOrder,
+    _as_order,
     fast_len,
     gamma,
     gl_derivative,
@@ -32,15 +32,15 @@ E_097_MINUS1 = 0.36999304171922315248
 W_HALF = [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375]
 
 
-class TestFracOrder:
+class TestOrderRange:
     def test_accepts_unit_interval(self):
-        assert FracOrder(0.97).alpha == 0.97
-        assert FracOrder(1.0).alpha == 1.0
+        assert _as_order(0.97) == 0.97
+        assert _as_order(1) == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, 1.2, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            FracOrder(bad)
+            _as_order(bad)
 
 
 class TestGamma:
@@ -68,12 +68,12 @@ class TestGamma:
 
 class TestGlWeights:
     def test_first_weights_alpha_half(self):
-        w = gl_weights(0.5, 5).weights
+        w = gl_weights(0.5, 5)
         assert w == pytest.approx(W_HALF, abs=1e-15)
 
     def test_partial_sum_binomial_identity(self):
         # S_K = (-1)^K C(alpha-1, K); frozen from mpmath.binomial
-        s = float(gl_weights(0.97, 1000).weights.sum())
+        s = float(gl_weights(0.97, 1000).sum())
         assert s == pytest.approx(S_1000_097, rel=1e-10)
 
     def test_partial_sum_recomputed_with_mpmath(self):
@@ -82,7 +82,7 @@ class TestGlWeights:
         assert ref == pytest.approx(S_1000_097, rel=1e-15)
 
     def test_alpha_one_is_euler_table(self):
-        w = gl_weights(1.0, 10).weights
+        w = gl_weights(1.0, 10)
         assert w[0] == 1.0 and w[1] == -1.0
         assert np.all(w[2:] == 0.0)
 
@@ -90,13 +90,13 @@ class TestGlWeights:
         mpmath.mp.dps = 40
         a = mpmath.mpf("0.9")
         ref = [float((-1) ** j * mpmath.binomial(a, j)) for j in range(200)]
-        w = gl_weights(0.9, 199).weights
+        w = gl_weights(0.9, 199)
         assert w == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     @given(st.floats(min_value=0.05, max_value=0.999))
     @settings(max_examples=40, deadline=None)
     def test_sign_and_monotonicity_properties(self, alpha):
-        w = gl_weights(alpha, 300).weights
+        w = gl_weights(alpha, 300)
         assert w[0] == 1.0
         # all later weights negative, partial sums decrease toward 0
         assert np.all(w[1:] < 0.0)
@@ -107,7 +107,12 @@ class TestGlWeights:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             gl_weights(0.5, -1)
-        assert gl_weights(0.5, 0).weights.shape == (1,)
+        assert gl_weights(0.5, 0).shape == (1,)
+
+    def test_weights_are_read_only(self):
+        w = gl_weights(0.7, 4)
+        with pytest.raises(ValueError):
+            w[1] = 0.0
 
 
 class TestGlDerivative:
@@ -141,13 +146,12 @@ class TestGlDerivative:
         assert out[1:] == pytest.approx(ref, abs=1e-12)
 
     def test_fft_and_direct_paths_agree(self):
-        # n > 2048 switches to the FFT convolution; both must agree closely
+        # the FFT convolution against the direct sum at short and long n
         h = 1e-3
-        t = np.arange(0, 3.0, h)  # 3000 samples -> fft path
-        y = t ** 2
-        long = gl_derivative(y, 0.7, h)
-        short = gl_derivative(y[:2000], 0.7, h)  # direct path
-        assert long[:2000] == pytest.approx(short, rel=1e-9, abs=1e-9)
+        for n in (2, 1001, 3000):
+            y = (np.arange(n) * h) ** 2
+            direct = np.convolve(gl_weights(0.7, n - 1), y - y[0])[:n] * h ** -0.7
+            assert gl_derivative(y, 0.7, h) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,15 @@ class TestConfigParsing:
         (lambda d: d["plant"].__setitem__("preset", "lorenz"), "plant.preset"),
         (lambda d: d.__setitem__("output_stride", 0), "output_stride"),
         (lambda d: d.__setitem__("typo_key", 1), ""),
+        # the name becomes an output file prefix inside --out
+        (lambda d: d.__setitem__("name", "../escaped"), "name"),
+        (lambda d: d.__setitem__("name", "sub/run"), "name"),
+        (lambda d: d.__setitem__("name", "sub\\run"), "name"),
+        (lambda d: d.__setitem__("name", ""), "name"),
+        (lambda d: d.__setitem__("name", "."), "name"),
+        (lambda d: d.__setitem__("name", ".."), "name"),
+        (lambda d: d.__setitem__("name", 5), "name"),
+        (lambda d: d.__setitem__("seed", -1), "seed"),
         # sections must be objects and list keys lists
         (lambda d: d.__setitem__("grid", 5), "grid"),
         (lambda d: d.__setitem__("noise", 2), "noise"),
