@@ -44,7 +44,6 @@ from .plants import (
 )
 from .observers import (
     FstaParams,
-    ObserverGains,
     baseline_fault_readout,
     fsta_rhs,
     gates,
@@ -90,7 +89,6 @@ __all__ = [
     "noise_signal",
     "plant_preset",
     "FstaParams",
-    "ObserverGains",
     "baseline_fault_readout",
     "fsta_rhs",
     "gates",

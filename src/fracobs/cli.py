@@ -33,6 +33,7 @@ from .harness import (
     compare_observers,
     config_hash,
     run_experiment,
+    trace_columns,
 )
 
 EXIT_OK = 0
@@ -87,20 +88,9 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _csv_schema(n: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"x{i+1}" for i in range(n)]
-    cols += [f"xhat{i+1}" for i in range(n)]
-    cols += [f"xtilde{i+2}" for i in range(n - 1)]
-    cols += [f"e{i+1}" for i in range(n)]
-    cols += ["f_true", "f_tilde", "f_hat", "e_f", "theta_tilde"]
-    cols += [f"E{i+1}" for i in range(n)]
-    return cols
-
-
 def write_trace_csv(path: Path, trace: Trace, n: int, stride: int) -> None:
     """Fixed-schema CSV; columns absent from the trace stay empty."""
-    schema = _csv_schema(n)
+    schema = trace_columns(n)
     t = trace.times()[::stride]
     have = {lab: trace.values[::stride, i] for i, lab in enumerate(trace.labels)}
     have["t"] = t

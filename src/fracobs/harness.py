@@ -14,12 +14,17 @@ declaring a winner.
 
 ``replay_observer`` drives one observer from a recorded output stream
 alone; it is the reference the co-simulation is checked against.
+
+``trace_columns`` is the one channel schema: the CSV header, and in the
+same order the labels of every enriched trace, which holds the plant
+columns, the true fault and its observer's ``ObserverDynamics.channels``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -39,11 +44,7 @@ from .metrics import (
 from .observers import (
     DEFAULT_EPSILON,
     ObserverDynamics,
-    ObserverGains,
     VARIANTS,
-    baseline_fault_readout,
-    gate_count,
-    gates,
     required_gain_count,
     state_dim,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "ComparisonResult",
     "config_hash",
     "replay_observer",
+    "trace_columns",
     "SHORT_MEMORY_DEFAULT",
     "SHORT_MEMORY_HORIZON",
 ]
@@ -102,6 +104,8 @@ def _section(raw: dict, key: str, allowed, required: bool = True) -> Optional[di
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, +-inf, or an int past the float range
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -256,7 +260,7 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
 
-        return cls(
+        cfg = cls(
             name=name,
             plant_preset_name=preset,
             observer_variant=variant,
@@ -275,6 +279,8 @@ class ExperimentConfig:
             observer_init=init,
             output_stride=stride,
         )
+        cfg.build_observer(variant, cfg.build_plant())
+        return cfg
 
     def to_dict(self) -> dict:
         plant: dict = {"preset": self.plant_preset_name}
@@ -316,12 +322,15 @@ class ExperimentConfig:
         return SimGrid(h=self.h, t_end=self.t_end, memory_len=self.memory)
 
     def build_plant(self) -> PlantModel:
-        return plant_preset(
-            self.plant_preset_name,
-            alpha=self.plant_alpha,
-            betas=self.plant_betas,
-            x0=self.plant_x0,
-        )
+        try:
+            return plant_preset(
+                self.plant_preset_name,
+                alpha=self.plant_alpha,
+                betas=self.plant_betas,
+                x0=self.plant_x0,
+            )
+        except ValueError as exc:
+            raise ConfigError("plant", str(exc)) from None
 
     def build_noise(self) -> Optional[Callable[[float], float]]:
         """The seeded noise as a function of t on this config's grid."""
@@ -330,21 +339,21 @@ class ExperimentConfig:
         return noise_signal(NoiseSpec(variance=self.noise_variance, seed=self.seed),
                             self.build_grid())
 
-    def build_gains(self, variant: str, n: int) -> ObserverGains:
+    def build_gains(self, variant: str, n: int) -> tuple[tuple, tuple]:
+        """The (lambdas, alphas) a ``variant`` observer of an n-plant runs on:
+        the scalar broadcast, or the first pairs of the explicit lists."""
         need = required_gain_count(variant, n)
         if isinstance(self.observer_gains, tuple):
             lam, alp = self.observer_gains
-            if len(lam) < need:
-                raise ConfigError(
-                    "observer.lambdas",
-                    f"{variant} observer with n={n} needs {need} gain pairs, got {len(lam)}",
-                )
-            lam, alp = lam[:need], alp[:need]
-        else:
-            lam = (self.observer_gains,) * need
-            alp = (self.observer_gains,) * need
+            return lam[:need], alp[:need]
+        return (self.observer_gains,) * need, (self.observer_gains,) * need
+
+    def build_observer(self, variant: str, plant: PlantModel) -> ObserverDynamics:
+        """This config's ``variant`` observer on ``plant``; a gain it rejects
+        is a config error."""
+        lam, alp = self.build_gains(variant, plant.n)
         try:
-            return ObserverGains(lambdas=lam, alphas_gain=alp, epsilon=self.epsilon)
+            return ObserverDynamics(variant, plant, lam, alp, self.epsilon, self.latching)
         except ValueError as exc:
             raise ConfigError("observer.gains", str(exc)) from None
 
@@ -371,74 +380,31 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # trace enrichment
 
-def _enrich(
-    grid: SimGrid,
-    plant: PlantModel,
-    fault: Optional[FaultSignal],
-    variant: str,
-    epsilon: float,
-    latching: bool,
-    plant_values: np.ndarray,
-    obs_values: np.ndarray,
-    diverged: bool,
-    diverged_at: Optional[float],
-) -> Trace:
-    """Assemble the full channel set from raw plant and observer columns."""
-    n = plant.n
-    x = plant_values
-    xhat = obs_values[:, 0:2 * n - 1:2]
-    xtilde = obs_values[:, 1:2 * n - 2:2]
-    theta = obs_values[:, -1]
+def trace_columns(n: int) -> list[str]:
+    """The channel schema of a run on an n-dimensional plant: the CSV
+    header, whose columns a variant lacks stay empty. A trace's labels are
+    this list without "t", filtered to the channels it has."""
+    idx = range(1, n + 1)
+    return [
+        "t", *(f"x{i}" for i in idx), *(f"xhat{i}" for i in idx),
+        *(f"xtilde{i}" for i in idx[1:]), *(f"e{i}" for i in idx),
+        "f_true", "f_tilde", "f_hat", "e_f", "theta_tilde", *(f"E{i}" for i in idx),
+    ]
 
-    # observer-internal (gate-driving) errors
-    e = np.empty_like(x)
-    e[:, 0] = x[:, 0] - xhat[:, 0]
-    e[:, 1:] = xtilde - xhat[:, 1:]
 
-    times = grid.times()
-    f_true = np.array([fault_value(fault, t) for t in times.tolist()])
-
-    xt_full = np.column_stack([x[:, 0], xtilde])
-    with np.errstate(invalid="ignore"):
-        if variant == "proposed":
-            f_tilde = obs_values[:, 2 * n - 1]
-            f_hat = obs_values[:, 2 * n]
-            e_f = f_tilde - f_hat
-        else:
-            f_hat = baseline_fault_readout(xt_full, theta, plant)
-
-        m = gate_count(variant, n)
-        gate_cols = gates(e[:, :m], epsilon)
-        if latching:
-            gate_cols = np.maximum.accumulate(gate_cols, axis=0)
-
-    cols = [x[:, i] for i in range(n)]
-    labels = [f"x{i+1}" for i in range(n)]
-    cols += [xhat[:, i] for i in range(n)]
-    labels += [f"xhat{i+1}" for i in range(n)]
-    cols += [xtilde[:, i] for i in range(n - 1)]
-    labels += [f"xtilde{i+2}" for i in range(n - 1)]
-    cols += [e[:, i] for i in range(n)]
-    labels += [f"e{i+1}" for i in range(n)]
-    cols.append(f_true)
-    labels.append("f_true")
-    if variant == "proposed":
-        cols += [f_tilde, f_hat, e_f]
-        labels += ["f_tilde", "f_hat", "e_f"]
-    else:
-        cols.append(f_hat)
-        labels.append("f_hat")
-    cols.append(theta)
-    labels.append("theta_tilde")
-    cols += [gate_cols[:, i].astype(float) for i in range(m)]
-    labels += [f"E{i+1}" for i in range(m)]
-
+def _enrich(raw: Trace, n: int, f_true: np.ndarray, channels: dict) -> Trace:
+    """One variant's trace: the plant columns of the raw march, the true
+    fault and that observer's channels, in schema order."""
+    cols = {f"x{i + 1}": raw.values[:, i] for i in range(n)}
+    cols["f_true"] = f_true
+    cols.update(channels)
+    labels = [c for c in trace_columns(n) if c in cols]
     return Trace(
-        grid=grid,
+        grid=raw.grid,
         labels=labels,
-        values=np.column_stack(cols),
-        diverged=diverged,
-        diverged_at=diverged_at,
+        values=np.column_stack([cols[c] for c in labels]),
+        diverged=raw.diverged,
+        diverged_at=raw.diverged_at,
     )
 
 
@@ -494,12 +460,13 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     plant = cfg.build_plant()
     n = plant.n
     plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
-    blocks = []
+    observers, blocks = [], []
     x0 = [plant.x0]
     lo = n
     for variant in variants:
-        obs = ObserverDynamics(variant, cfg.build_gains(variant, n), plant, latching=cfg.latching)
+        obs = cfg.build_observer(variant, plant)
         x0.append(cfg.build_init_state(variant, n))
+        observers.append(obs)
         blocks.append((obs.rhs_flat, lo, lo + obs.dim))
         lo += obs.dim
 
@@ -510,13 +477,11 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
         return out
 
     raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
+    f_true = np.array([fault_value(cfg.fault, t) for t in grid.times().tolist()])
     results = []
-    for variant, (_, a, b) in zip(variants, blocks):
-        trace = _enrich(
-            grid, plant, cfg.fault, variant, cfg.epsilon, cfg.latching,
-            raw.values[:, :n], raw.values[:, a:b], raw.diverged, raw.diverged_at,
-        )
-        results.append((trace, _compute_metrics(trace, plant, variant, cfg.epsilon)))
+    for obs, (_, a, b) in zip(observers, blocks):
+        trace = _enrich(raw, n, f_true, obs.channels(raw.values[:, 0], raw.values[:, a:b]))
+        results.append((trace, _compute_metrics(trace, plant, obs.variant, cfg.epsilon)))
     return results
 
 
@@ -542,9 +507,8 @@ def replay_observer(
     """
     grid = cfg.build_grid()
     plant = cfg.build_plant()
-    gains = cfg.build_gains(variant, plant.n)
     init = cfg.build_init_state(variant, plant.n)
-    obs = ObserverDynamics(variant, gains, plant, latching=cfg.latching)
+    obs = cfg.build_observer(variant, plant)
     y_rec = np.asarray(y_recorded, dtype=float)
     if y_rec.shape != (grid.n_steps + 1,):
         raise ValueError(

@@ -29,9 +29,10 @@ State layout used throughout (dimension 2n+2 proposed, 2n baseline):
     [ ...same prefix..., xhat_n, theta_tilde]    (baseline)
 
 so the first 2(n-1) derivative components of the two variants coincide
-by construction. ``ObserverDynamics.rhs_flat`` runs that shared prefix
-and then the variant's tail on Python floats; every pair in it, like
-``fsta_rhs``, evaluates the one pair formula in ``_pair``.
+by construction. ``ObserverDynamics`` alone reads that layout:
+``rhs_flat`` runs the shared prefix and then the variant's tail on Python
+floats, every pair evaluating the one formula in ``_pair`` (as does
+``fsta_rhs``), and ``channels`` turns a recorded block into named columns.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ from .plants import PlantModel
 
 __all__ = [
     "VARIANTS",
-    "ObserverGains",
     "FstaParams",
     "fsta_rhs",
     "sta_convergence_time",
     "gates",
     "baseline_fault_readout",
     "required_gain_count",
-    "gate_count",
     "state_dim",
     "state_labels",
     "ObserverDynamics",
@@ -120,35 +119,6 @@ def sta_convergence_time(alpha, v_s: float) -> float:
     return (gamma(a + 1.0) * v_s) ** (1.0 / a)
 
 
-@dataclass(frozen=True)
-class ObserverGains:
-    """Per-pair gains (lambda_i, alpha_i) plus the gate tolerance eps.
-
-    The baseline observer consumes n pairs, the proposed one n+1; all
-    gains must be strictly positive and the two tuples equally long.
-    """
-
-    lambdas: tuple
-    alphas_gain: tuple
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        lam = tuple(float(v) for v in self.lambdas)
-        alp = tuple(float(v) for v in self.alphas_gain)
-        if len(lam) != len(alp):
-            raise ValueError(
-                f"gain tuples differ in length: {len(lam)} lambdas vs {len(alp)} alphas"
-            )
-        if len(lam) == 0:
-            raise ValueError("at least one gain pair is required")
-        if any(not (v > 0.0) for v in lam + alp):
-            raise ValueError("all observer gains must be strictly positive")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "alphas_gain", alp)
-
-
 def required_gain_count(variant: str, n: int) -> int:
     if variant not in VARIANTS:
         raise ValueError(f"unknown observer variant {variant!r}")
@@ -190,11 +160,6 @@ def state_dim(variant: str, n: int) -> int:
     return 2 * n + 2 if variant == "proposed" else 2 * n
 
 
-def gate_count(variant: str, n: int) -> int:
-    """Number of cascade gates E_1..E_m: every pair after the first has one."""
-    return n if variant == "proposed" else n - 1
-
-
 def state_labels(variant: str, n: int) -> list[str]:
     labels = []
     for i in range(1, n):
@@ -208,10 +173,13 @@ def state_labels(variant: str, n: int) -> list[str]:
 
 
 class ObserverDynamics:
-    """One observer inside an integration run, on the flat state.
+    """One observer inside an integration run, on its flat state block.
 
+    ``lambdas`` and ``alphas`` hold one strictly positive gain per pair
+    (n baseline, n+1 proposed); ``epsilon`` > 0 is the gate tolerance.
     ``rhs_flat`` computes the errors and gates from the current flat state
-    and runs the cascade. In latching mode a gate stays open once it has
+    and runs the cascade; ``channels`` reads a whole recorded block back
+    as named columns. In latching mode a gate stays open once it has
     opened (the count of open gates never falls), which makes an instance
     single-use per run unless reset().
     """
@@ -219,28 +187,32 @@ class ObserverDynamics:
     def __init__(
         self,
         variant: str,
-        gains: ObserverGains,
         plant: PlantModel,
+        lambdas,
+        alphas,
+        epsilon: float = DEFAULT_EPSILON,
         latching: bool = False,
     ):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown observer variant {variant!r}")
         need = required_gain_count(variant, plant.n)
-        if len(gains.lambdas) != need:
+        lam = tuple(float(v) for v in lambdas)
+        alp = tuple(float(v) for v in alphas)
+        if len(lam) != need or len(alp) != need:
             raise ValueError(
                 f"{variant} observer with n={plant.n} needs {need} gain pairs, "
-                f"got {len(gains.lambdas)}"
+                f"got {len(lam)} lambdas and {len(alp)} alphas"
             )
+        if any(not (v > 0.0) for v in lam + alp):
+            raise ValueError("all observer gains must be strictly positive")
+        if not (epsilon > 0.0):
+            raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
         self.variant = variant
         self.plant = plant
         self.n = plant.n
         self.latching = bool(latching)
-        self.gate_count = gate_count(variant, plant.n)
+        self.gate_count = need - 1  # every pair after the first has a gate
         self.dim = state_dim(variant, plant.n)
         self.labels = state_labels(variant, plant.n)
-        self._lam = gains.lambdas
-        self._alp = gains.alphas_gain
-        self._eps = gains.epsilon
+        self._lam, self._alp, self._eps = lam, alp, epsilon
         self.reset()
 
     def reset(self) -> None:
@@ -294,3 +266,27 @@ class ObserverDynamics:
             else:
                 out += _HELD
         return out
+
+    def channels(self, y: np.ndarray, block: np.ndarray) -> dict:
+        """Named columns of a recorded (rows, dim) block driven by the
+        output column y: the block's own (``self.labels``), the errors
+        e1..en, ``e_f`` (proposed) or the ``f_hat`` readout (baseline),
+        and the gates E1..Em as 0.0/1.0, latched down the rows if latching.
+        """
+        n = self.n
+        cols = dict(zip(self.labels, block.T))
+        xtilde = [cols[f"xtilde{i}"] for i in range(2, n + 1)]
+        errors = [y - cols["xhat1"], *(xt - cols[f"xhat{i}"] for i, xt in enumerate(xtilde, 2))]
+        with np.errstate(invalid="ignore"):
+            if self.variant == "proposed":
+                cols["e_f"] = cols["f_tilde"] - cols["f_hat"]
+            else:
+                cols["f_hat"] = baseline_fault_readout(
+                    np.column_stack([y, *xtilde]), cols["theta_tilde"], self.plant
+                )
+            open_ = gates(np.column_stack(errors[: self.gate_count]), self._eps)
+            if self.latching:
+                open_ = np.maximum.accumulate(open_, axis=0)
+        cols.update((f"e{i}", e) for i, e in enumerate(errors, 1))
+        cols.update((f"E{i}", g) for i, g in enumerate(open_.T.astype(float), 1))
+        return cols

@@ -184,13 +184,20 @@ def _unit_gain(*x) -> float:
     return 1.0
 
 
+def _four_betas(name: str, betas: Sequence[float]) -> tuple:
+    b = tuple(float(v) for v in betas)
+    if len(b) != 4:
+        raise ValueError(f"{name} needs 4 betas, got {len(b)}")
+    return b
+
+
 def arneodo(
     alpha: float = 0.97,
     betas: Sequence[float] = (-5.5, 3.5, 0.8, -1.0),
     x0: Sequence[float] = (-0.2, 0.5, 0.2),
 ) -> PlantModel:
     """Arneodo chaotic system, cubic drift, stock chaotic parameter set."""
-    b1, b2, b3, b4 = (float(v) for v in betas)
+    b1, b2, b3, b4 = _four_betas("arneodo", betas)
 
     def drift(x1, x2, x3):
         return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 3
@@ -211,7 +218,7 @@ def genesio_tesi(
     The default initial state was picked empirically for a bounded
     (sup-norm < 10) trajectory over the benchmark horizon.
     """
-    b1, b2, b3, b4 = (float(v) for v in betas)
+    b1, b2, b3, b4 = _four_betas("genesio_tesi", betas)
 
     def drift(x1, x2, x3):
         return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 2

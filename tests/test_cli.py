@@ -12,8 +12,8 @@ import pytest
 
 import fracobs.fraccalc
 from fracobs import __version__, bundled_config
-from fracobs.cli import _csv_schema, main
-from fracobs.harness import ExperimentConfig, config_hash
+from fracobs.cli import main
+from fracobs.harness import ExperimentConfig, config_hash, trace_columns
 
 
 def cfg_dict(**over):
@@ -82,7 +82,7 @@ class TestRun:
             assert str(p) in out
 
         header, rows = read_csv(csv_p)
-        assert header == _csv_schema(3)
+        assert header == trace_columns(3)
         # 801 grid points strided by 10 -> 81 rows
         assert len(rows) == 81
         # times advance by stride * h and floats survive a text round trip
@@ -146,6 +146,26 @@ class TestRun:
         rc = main(["run", str(cfg_file), "--out", str(tmp_path / "sub"), "--set", "name=../escaped"])
         assert rc == 2
         assert not list(tmp_path.glob("escaped_*"))
+
+    @pytest.mark.parametrize("override", [
+        "grid.h=NaN",
+        "grid.t_end=Infinity",
+        "noise.variance=NaN",
+        "noise.variance=1e400",
+        "observer.epsilon=NaN",
+        "observer.epsilon=Infinity",
+        "observer.gains=-1",
+        "plant.betas=[1,2]",
+        "plant.x0=[1,2]",
+    ])
+    def test_unusable_number_or_plant_exits_2_before_output(self, tmp_path, cfg_file, capsys, override):
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_file), "--out", str(out), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        key = override.partition("=")[0]
+        assert ("plant" if key.startswith("plant.") else key) + ": " in err
+        assert not out.exists()
 
     def test_section_of_wrong_type_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -211,7 +231,7 @@ class TestCompare:
 
         hp, _ = read_csv(tmp_path / "cliunit_proposed_trace.csv")
         hb, _ = read_csv(tmp_path / "cliunit_baseline_trace.csv")
-        assert hp == hb == _csv_schema(3)
+        assert hp == hb == trace_columns(3)
 
 
 class TestValidate:

@@ -115,6 +115,22 @@ class TestConfigParsing:
         (lambda d: d["fault"].__setitem__("onset", None), "fault.onset"),
         (lambda d: d["fault"].update(kind="custom", samples=1.0, sample_dt=0.1), "fault.samples"),
         (lambda d: d["fault"].update(kind="custom", samples=[1.0], sample_dt=[0.1]), "fault.sample_dt"),
+        # numbers must be finite (JSON readers accept NaN, Infinity and 1e400)
+        (lambda d: d["grid"].__setitem__("h", float("nan")), "grid.h: expected a finite number, got nan"),
+        (lambda d: d["grid"].__setitem__("t_end", float("inf")), "grid.t_end: expected a finite number, got inf"),
+        (lambda d: d["noise"].__setitem__("variance", float("nan")), "noise.variance: expected a finite number, got nan"),
+        (lambda d: d["noise"].__setitem__("variance", float("inf")), "noise.variance: expected a finite number, got inf"),
+        (lambda d: d["noise"].__setitem__("variance", 10 ** 400), "noise.variance: expected a finite number, got 1000"),
+        (lambda d: d["observer"].__setitem__("epsilon", float("nan")), "observer.epsilon: expected a finite number, got nan"),
+        (lambda d: d["observer"].__setitem__("epsilon", float("-inf")), "observer.epsilon: expected a finite number, got -inf"),
+        (lambda d: d["observer"].__setitem__("epsilon", float("inf")), "observer.epsilon: expected a finite number, got inf"),
+        # the positivity check lives in ObserverDynamics, which from_dict builds once
+        (lambda d: d["observer"].__setitem__("gains", -1), "observer.gains: all observer gains must be strictly positive"),
+        (lambda d: (d["observer"].pop("gains"), d["observer"].update(lambdas=[1, 1, 1], alphas=[1, 1, 1])),
+         "observer.gains: proposed observer with n=3 needs 4 gain pairs"),
+        # the plant is built once at load, so a misfit override fails there
+        (lambda d: d["plant"].__setitem__("betas", [1, 2]), "plant: genesio_tesi needs 4 betas"),
+        (lambda d: d["plant"].__setitem__("x0", [1, 2]), "plant: x0 shape"),
     ])
     def test_validation_names_the_field(self, mutate, field):
         d = gt_dict()
@@ -128,17 +144,15 @@ class TestConfigParsing:
         d = gt_dict(**{"observer.lambdas": [1, 2, 3, 4], "observer.alphas": [5, 6, 7, 8]})
         del d["observer"]["gains"]
         cfg = ExperimentConfig.from_dict(d)
-        gains = cfg.build_gains("proposed", 3)
-        assert gains.lambdas == (1, 2, 3, 4)
+        lam, _ = cfg.build_gains("proposed", 3)
+        assert lam == (1, 2, 3, 4)
         # baseline leg of a comparison takes the first n pairs
-        bgains = cfg.build_gains("baseline", 3)
-        assert bgains.lambdas == (1, 2, 3)
-        assert bgains.alphas_gain == (5, 6, 7)
+        assert cfg.build_gains("baseline", 3) == ((1, 2, 3), (5, 6, 7))
 
     def test_scalar_gain_broadcast(self):
         cfg = ExperimentConfig.from_dict(gt_dict())
-        assert cfg.build_gains("proposed", 3).lambdas == (0.5,) * 4
-        assert cfg.build_gains("baseline", 3).lambdas == (0.5,) * 3
+        assert cfg.build_gains("proposed", 3) == ((0.5,) * 4, (0.5,) * 4)
+        assert cfg.build_gains("baseline", 3) == ((0.5,) * 3, (0.5,) * 3)
 
     def test_observer_init_length_checked(self):
         d = gt_dict(**{"observer.init": [0.0] * 5})

@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 
 from fracobs.configs import bundled_config
 from fracobs.errors import SingularGainError
-from fracobs.harness import ExperimentConfig
+from fracobs.harness import ExperimentConfig, compare_observers, trace_columns
 from fracobs.observers import (
     FstaParams,
     ObserverDynamics,
-    ObserverGains,
     baseline_fault_readout,
     fsta_rhs,
     gates,
@@ -48,13 +47,13 @@ SQ08 = math.sqrt(0.8)
 PROPOSED_FLAT = [0.3, 0.4, 0.1, 0.6, -0.2, 0.25, 0.05, -0.3]
 BASELINE_FLAT = [0.3, 0.4, 0.1, 0.6, -0.2, -0.3]
 Y = 0.5
-PROPOSED_GAINS = dict(lambdas=(1, 2, 3, 4), alphas_gain=(5, 6, 7, 8))
-BASELINE_GAINS = dict(lambdas=(1, 2, 3), alphas_gain=(5, 6, 7))
+PROPOSED_GAINS = dict(lambdas=(1, 2, 3, 4), alphas=(5, 6, 7, 8))
+BASELINE_GAINS = dict(lambdas=(1, 2, 3), alphas=(5, 6, 7))
 
 
 def dynamics(variant, epsilon=0.01, latching=False, **gains):
     gains = gains or (PROPOSED_GAINS if variant == "proposed" else BASELINE_GAINS)
-    return ObserverDynamics(variant, ObserverGains(epsilon=epsilon, **gains), arneodo(), latching=latching)
+    return ObserverDynamics(variant, arneodo(), epsilon=epsilon, latching=latching, **gains)
 
 
 def named(variant, d):
@@ -148,7 +147,7 @@ class TestEstimationErrors:
         # errors the cascade used read back as e1 = y - xhat1 = 0.2,
         # e2 = xtilde2 - xhat2 = 0.3, e3 = xtilde3 - xhat3 = 0.8
         flat = BASELINE_FLAT[:5] + [0.0]
-        d = dynamics("baseline", epsilon=1.0, lambdas=(1, 1, 1), alphas_gain=(1, 1, 1)).rhs_flat(Y, flat)
+        d = dynamics("baseline", epsilon=1.0, lambdas=(1, 1, 1), alphas=(1, 1, 1)).rhs_flat(Y, flat)
         e = [(d[0] - 0.4) ** 2, (d[2] - 0.6) ** 2, d[4] ** 2]
         assert e == pytest.approx([0.2, 0.3, 0.8])
 
@@ -192,7 +191,7 @@ class TestProposedRhs:
 
     def test_gain_count_enforced(self):
         with pytest.raises(ValueError):
-            dynamics("proposed", lambdas=(1, 2, 3), alphas_gain=(4, 5, 6))
+            dynamics("proposed", lambdas=(1, 2, 3), alphas=(4, 5, 6))
 
 
 class TestBaselineRhs:
@@ -208,7 +207,7 @@ class TestBaselineRhs:
 
     def test_prefix_agreement_hand_case(self):
         dp = dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT)
-        db = dynamics("baseline", epsilon=1.0, lambdas=(1, 2, 3), alphas_gain=(5, 6, 7)).rhs_flat(
+        db = dynamics("baseline", epsilon=1.0, lambdas=(1, 2, 3), alphas=(5, 6, 7)).rhs_flat(
             Y, BASELINE_FLAT
         )
         assert dp[:4] == db[:4]
@@ -222,8 +221,8 @@ class TestBaselineRhs:
     @settings(max_examples=60, deadline=None)
     def test_prefix_agreement_property(self, vals, gs, y, eps):
         # first 2(n-1) derivative components agree whatever the state/gains
-        dp = dynamics("proposed", epsilon=eps, lambdas=gs[0:4], alphas_gain=gs[4:8]).rhs_flat(y, vals)
-        db = dynamics("baseline", epsilon=eps, lambdas=gs[0:3], alphas_gain=gs[4:7]).rhs_flat(
+        dp = dynamics("proposed", epsilon=eps, lambdas=gs[0:4], alphas=gs[4:8]).rhs_flat(y, vals)
+        db = dynamics("baseline", epsilon=eps, lambdas=gs[0:3], alphas=gs[4:7]).rhs_flat(
             y, vals[0:5] + vals[7:]
         )
         assert dp[:4] == db[:4]
@@ -303,7 +302,7 @@ class TestStateLayout:
 class TestObserverDynamics:
     def test_flat_rhs_matches_direct_call(self):
         # every open pair is fsta_rhs at xi1 = -e_i, bit for bit
-        lam, alp = PROPOSED_GAINS["lambdas"], PROPOSED_GAINS["alphas_gain"]
+        lam, alp = PROPOSED_GAINS["lambdas"], PROPOSED_GAINS["alphas"]
         xh1, xt2, xh2, xt3, xh3, ft, fh, th = PROPOSED_FLAT
         drift = float(arneodo().a(np.array([Y, xt2, xt3])))
         expect = []
@@ -327,7 +326,63 @@ class TestObserverDynamics:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            ObserverDynamics("improved", ObserverGains(**PROPOSED_GAINS), arneodo())
+            ObserverDynamics("improved", arneodo(), **PROPOSED_GAINS)
+
+
+class TestChannels:
+    """``channels`` on hand-made blocks at epsilon = 0.125; the entries are
+    chosen so that every error is exact in binary floating point."""
+
+    # e = (1/16, -1/16, 0) on row 0; e1 = 17/16 leaves the band on row 1,
+    # e2 = 11/16 on row 2; e_f = 3/16 throughout
+    Y = np.array([0.5, 1.5, 0.5])
+    BLOCK = np.array([
+        [0.4375, 0.25, 0.3125, 0.75, 0.75, 0.25, 0.0625, -0.5],
+        [0.4375, 0.25, 0.3125, 0.75, 0.75, 0.25, 0.0625, -0.5],
+        [0.4375, 1.0, 0.3125, 0.75, 0.75, 0.25, 0.0625, -0.5],
+    ])
+
+    def test_proposed_hand_values(self):
+        ch = dynamics("proposed", epsilon=0.125).channels(self.Y, self.BLOCK)
+        assert sorted(ch) == sorted(state_labels("proposed", 3) + ["e1", "e2", "e3", "e_f", "E1", "E2", "E3"])
+        assert ch["xtilde2"].tolist() == [0.25, 0.25, 1.0]
+        assert ch["e1"].tolist() == [0.0625, 1.0625, 0.0625]
+        assert ch["e2"].tolist() == [-0.0625, -0.0625, 0.6875]
+        assert ch["e3"].tolist() == [0.0, 0.0, 0.0]
+        assert ch["f_hat"].tolist() == [0.0625] * 3
+        assert ch["e_f"].tolist() == [0.1875] * 3
+        assert ch["E1"].tolist() == [1.0, 0.0, 1.0]
+        assert ch["E2"].tolist() == [1.0, 0.0, 0.0]
+        assert ch["E3"].tolist() == [1.0, 0.0, 0.0]
+
+    def test_latched_gates_stay_open_after_errors_leave_the_band(self):
+        ch = dynamics("proposed", epsilon=0.125, latching=True).channels(self.Y, self.BLOCK)
+        assert ch["e1"][1] > 0.125 and ch["e2"][2] > 0.125
+        assert [ch[f"E{i}"].tolist() for i in (1, 2, 3)] == [[1.0, 1.0, 1.0]] * 3
+
+    def test_baseline_readout_and_gates(self):
+        # row 0: a(0.5, 0.4, 0.6) = 0.745, so f_hat = -0.3 - 0.745; row 1: a(0) = 0
+        y = np.array([0.5, 0.0])
+        block = np.array([[0.4375, 0.4, 0.4, 0.6, 0.6, -0.3],
+                          [0.25, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        ch = dynamics("baseline", epsilon=0.125).channels(y, block)
+        assert sorted(ch) == sorted(state_labels("baseline", 3) + ["e1", "e2", "e3", "f_hat", "E1", "E2"])
+        assert ch["f_hat"] == pytest.approx([-1.045, 1.0], abs=1e-15)
+        assert ch["e1"].tolist() == [0.0625, -0.25]
+        assert ch["e2"].tolist() == ch["e3"].tolist() == [0.0, 0.0]
+        assert ch["E1"].tolist() == ch["E2"].tolist() == [1.0, 0.0]
+        latched = dynamics("baseline", epsilon=0.125, latching=True).channels(y, block)
+        assert latched["E1"].tolist() == latched["E2"].tolist() == [1.0, 1.0]
+
+    def test_trace_labels_are_the_schema_filtered(self):
+        raw = bundled_config("example2")
+        raw["grid"].update(h=1e-2, t_end=1.0)
+        raw["observer"]["latching"] = True
+        result = compare_observers(ExperimentConfig.from_dict(raw))
+        columns = trace_columns(3)
+        assert columns[0] == "t"
+        assert result.trace_a.labels == columns[1:]
+        assert result.trace_b.labels == [c for c in columns[1:] if c not in ("f_tilde", "e_f", "E3")]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +489,8 @@ class TestCascadeMatchesObjectCascade:
     @settings(max_examples=300, deadline=None)
     def test_flat_matches_object_cascade(self, variant, plant, latching, gains, steps):
         need = required_gain_count(variant, 3)
-        g = ObserverGains(lambdas=gains[:need], alphas_gain=gains[4:4 + need], epsilon=_EPS)
-        dyn = ObserverDynamics(variant, g, plant, latching=latching)
+        g = SimpleNamespace(lambdas=gains[:need], alphas_gain=gains[4:4 + need], epsilon=_EPS)
+        dyn = ObserverDynamics(variant, plant, g.lambdas, g.alphas_gain, g.epsilon, latching)
         latch = np.zeros(dyn.gate_count, bool) if latching else None
         cube = variant == "proposed" and plant.name == "arneodo"
         b1, b2, b3, b4 = plant.params["betas"]
