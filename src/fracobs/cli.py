@@ -88,18 +88,27 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
+# rows formatted per write, so the writer's memory does not grow with the trace
+_CSV_CHUNK = 1024
+
+
 def write_trace_csv(path: Path, trace: Trace, n: int, stride: int) -> None:
-    """Fixed-schema CSV; columns absent from the trace stay empty."""
+    """Fixed-schema CSV; columns absent from the trace stay empty.
+
+    Every row is one row template: %r (repr, which round-trips) for each
+    column the trace has, nothing for the others. A chunk of rows is one
+    %-format of the template repeated, over the chunk's floats.
+    """
     schema = trace_columns(n)
-    t = trace.times()[::stride]
-    have = {lab: trace.values[::stride, i] for i, lab in enumerate(trace.labels)}
-    have["t"] = t
-    columns = [have.get(name) for name in schema]
+    cols = [trace.labels.index(name) for name in schema if name in trace.labels]
+    template = ",".join("%r" if name == "t" or name in trace.labels else "" for name in schema) + "\n"
+    times = trace.times()[::stride]
+    values = trace.values[::stride]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(schema) + "\n")
-        for k in range(t.size):
-            row = ("" if col is None else repr(float(col[k])) for col in columns)
-            fh.write(",".join(row) + "\n")
+        for k in range(0, times.size, _CSV_CHUNK):
+            chunk = np.column_stack((times[k:k + _CSV_CHUNK], values[k:k + _CSV_CHUNK, cols]))
+            fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_manifest(path: Path, cfg: ExperimentConfig, duration: float,
@@ -150,6 +159,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.set or [], args.seed)
+    if cfg.observer_init is not None:
+        raise ConfigError(
+            "observer.init",
+            "compare runs the proposed and the baseline observer, whose states "
+            "differ in length, so one flat init list cannot start both",
+        )
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     result = compare_observers(cfg)

@@ -16,13 +16,24 @@ The history sum is the divide-and-conquer convolution of Hairer, Lubich
 and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985). ``_solve(lo, hi)``
 steps blocks of at most ``_LEAF`` steps directly; above that it solves
 the left half, adds the left half's contribution to every target in the
-right half with one zero-padded real FFT convolution (one transform pair
-over all state columns at once), and solves the right half. Each
-(source, target) pair is counted once. A finite L only zeroes the kernel
-beyond lag L and clips each cross term to the sources and targets that
-lie within L of the split, so "full" and L = n_steps run identical
-arithmetic. The cost is O(n log^2 n) for full memory and O(n log n log L)
-for a window of L, against O(n L) for the per-step sum.
+right half with zero-padded real FFT convolutions, and solves the right
+half. Each (source, target) pair is counted once. A finite L only
+zeroes the kernel beyond lag L and clips each cross term to the sources
+and targets that lie within L of the split, so "full" and L = n_steps
+run identical arithmetic. The cost is O(n log^2 n) for full memory and
+O(n log n log L) for a window of L, against O(n L) for the per-step sum.
+
+A cross term of nfft points transforms the state columns in groups of
+g = max(1, min(dim, (n + 1) // nfft)) (``_group_size``): one transform
+pair per group, plus the kernel's transform, which is freed before the
+inverse transform allocates its output. A group's spectrum and output
+then hold at most about one column of the z array each, so the march's
+scratch stays near two columns however large dim is, and every cross
+term below the top few levels still makes one transform pair over all
+columns. Each column's transform is independent of the others, so the
+grouping changes no bit of the result. Besides the z array, its weights
+(one more column under full memory) and that scratch, a march holds
+only the current leaf as Python lists.
 
 The far-field part of step k's sum accumulates in row k of the z array
 before that step is taken. A leaf step makes one numpy call chain (the
@@ -195,7 +206,9 @@ def integrate(
     w = gl_weights(a, grid.effective_memory())
     w = w[: np.flatnonzero(w)[-1] + 1]  # alpha = 1 -> [1, -1]
     mem = len(w) - 1
-    wrev = np.ascontiguousarray(w[1:][::-1])  # [w_mem ... w_1]
+    # a leaf step reaches back fewer than _LEAF steps: [w_near ... w_1]
+    near_len = min(mem, _LEAF - 1)
+    wrev = np.ascontiguousarray(w[1:near_len + 1][::-1])
 
     # Z[k] holds z_k once step k is taken; before that it accumulates the
     # far-field part of step k's history sum. It is the march's only
@@ -203,11 +216,6 @@ def integrate(
     Z = np.zeros((n + 1, dim))
     x0l = x0.tolist()
     evaluate = field.eval
-    # every cross term convolves fewer than min(n, 2 * mem) points; each
-    # transform works in a prefix of these two buffers
-    longest = fast_len(min(n, 2 * mem))
-    spec = np.empty((longest // 2 + 1, dim), dtype=complex)
-    buf = np.empty((longest, dim))
 
     def leaf(lo: int, hi: int) -> int:
         # near field: sources in [lo, k) on top of the accumulated far
@@ -222,7 +230,7 @@ def integrate(
                 raise ValueError(f"field returned {len(phi)} values, field.dim is {dim}")
             m = k - lo if k - lo < mem else mem
             if m:
-                near = np.dot(wrev[mem - m:], Z[k - m:k]).tolist()
+                near = np.dot(wrev[near_len - m:], Z[k - m:k]).tolist()
                 z = [ha * p - (f + q) for p, f, q in zip(phi, far[k - lo], near)]
             else:
                 z = [ha * p - f for p, f in zip(phi, far[k - lo])]
@@ -243,12 +251,13 @@ def integrate(
         s0 = max(lo, mid - mem)
         ns, nt = mid - s0, min(hi, mid + mem) - mid
         nfft = fast_len(ns + nt - 1)
-        kernel = np.fft.rfft(w[1:ns + nt], n=nfft)
-        sp, out = spec[: nfft // 2 + 1], buf[:nfft]
-        np.fft.rfft(Z[s0:mid], n=nfft, axis=0, out=sp)
-        sp *= kernel[:, None]
-        np.fft.irfft(sp, n=nfft, axis=0, out=out)
-        Z[mid:mid + nt] += out[ns - 1:ns - 1 + nt]
+        # g columns at a time; the kernel's spectrum is recomputed per
+        # group so that it is freed before irfft allocates its output
+        g = _group_size(dim, n, nfft)
+        for c in range(0, dim, g):
+            sp = np.fft.rfft(Z[s0:mid, c:c + g], n=nfft, axis=0)
+            sp *= np.fft.rfft(w[1:ns + nt], n=nfft)[:, None]
+            Z[mid:mid + nt, c:c + g] += np.fft.irfft(sp, n=nfft, axis=0)[ns - 1:ns - 1 + nt]
 
     with np.errstate(over="ignore", invalid="ignore"):
         bad = _solve(1, n + 1, leaf, far_field)
@@ -264,6 +273,13 @@ def integrate(
         diverged=bool(bad),
         diverged_at=bad * h if bad else None,
     )
+
+
+def _group_size(dim: int, n: int, nfft: int) -> int:
+    """State columns per transform in a cross term of nfft points on an
+    n-step march: a group's spectrum and output then hold about one
+    column of the z array each."""
+    return max(1, min(dim, (n + 1) // nfft))
 
 
 def _solve(lo: int, hi: int, leaf, far_field) -> int:

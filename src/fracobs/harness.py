@@ -279,7 +279,9 @@ class ExperimentConfig:
             observer_init=init,
             output_stride=stride,
         )
-        cfg.build_observer(variant, cfg.build_plant())
+        plant_model = cfg.build_plant()
+        cfg.build_observer(variant, plant_model)
+        cfg.build_init_state(variant, plant_model.n)
         return cfg
 
     def to_dict(self) -> dict:
@@ -392,17 +394,23 @@ def trace_columns(n: int) -> list[str]:
     ]
 
 
-def _enrich(raw: Trace, n: int, f_true: np.ndarray, channels: dict) -> Trace:
-    """One variant's trace: the plant columns of the raw march, the true
-    fault and that observer's channels, in schema order."""
-    cols = {f"x{i + 1}": raw.values[:, i] for i in range(n)}
-    cols["f_true"] = f_true
-    cols.update(channels)
-    labels = [c for c in trace_columns(n) if c in cols]
+def _enrich(raw: Trace, n: int, f_true: np.ndarray, obs: ObserverDynamics,
+            block: np.ndarray) -> Trace:
+    """One variant's trace, built in one (rows, labels) allocation: the
+    plant columns of the raw march, the true fault and the channels of
+    ``obs`` on its recorded ``block``, in schema order."""
+    have = {*(f"x{i}" for i in range(1, n + 1)), "f_true", *obs.channel_labels}
+    labels = [c for c in trace_columns(n) if c in have]
+    values = np.empty((raw.values.shape[0], len(labels)))
+    cols = dict(zip(labels, values.T))
+    for i in range(n):
+        cols[f"x{i + 1}"][:] = raw.values[:, i]
+    cols["f_true"][:] = f_true
+    obs.channels(raw.values[:, 0], block, cols)
     return Trace(
         grid=raw.grid,
         labels=labels,
-        values=np.column_stack([cols[c] for c in labels]),
+        values=values,
         diverged=raw.diverged,
         diverged_at=raw.diverged_at,
     )
@@ -477,12 +485,14 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
         return out
 
     raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
-    f_true = np.array([fault_value(cfg.fault, t) for t in grid.times().tolist()])
-    results = []
-    for obs, (_, a, b) in zip(observers, blocks):
-        trace = _enrich(raw, n, f_true, obs.channels(raw.values[:, 0], raw.values[:, a:b]))
-        results.append((trace, _compute_metrics(trace, plant, obs.variant, cfg.epsilon)))
-    return results
+    # k * h is grid.times()'s float(k) * h, so this is the fault at t_k
+    rows, h = grid.n_steps + 1, grid.h
+    f_true = np.fromiter((fault_value(cfg.fault, k * h) for k in range(rows)), float, rows)
+    traces = [_enrich(raw, n, f_true, obs, raw.values[:, a:b])
+              for obs, (_, a, b) in zip(observers, blocks)]
+    del raw  # the march is not needed for the metrics
+    return [(trace, _compute_metrics(trace, plant, obs.variant, cfg.epsilon))
+            for trace, obs in zip(traces, observers)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Trace, MetricsReport]:

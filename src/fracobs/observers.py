@@ -32,7 +32,8 @@ so the first 2(n-1) derivative components of the two variants coincide
 by construction. ``ObserverDynamics`` alone reads that layout:
 ``rhs_flat`` runs the shared prefix and then the variant's tail on Python
 floats, every pair evaluating the one formula in ``_pair`` (as does
-``fsta_rhs``), and ``channels`` turns a recorded block into named columns.
+``fsta_rhs``), and ``channels`` writes a recorded block's named columns
+into a trace.
 """
 
 from __future__ import annotations
@@ -178,10 +179,10 @@ class ObserverDynamics:
     ``lambdas`` and ``alphas`` hold one strictly positive gain per pair
     (n baseline, n+1 proposed); ``epsilon`` > 0 is the gate tolerance.
     ``rhs_flat`` computes the errors and gates from the current flat state
-    and runs the cascade; ``channels`` reads a whole recorded block back
-    as named columns. In latching mode a gate stays open once it has
-    opened (the count of open gates never falls), which makes an instance
-    single-use per run unless reset().
+    and runs the cascade; ``channels`` writes a whole recorded block back
+    as the named columns ``channel_labels``. In latching mode a gate stays
+    open once it has opened (the count of open gates never falls), which
+    makes an instance single-use per run unless reset().
     """
 
     def __init__(
@@ -212,6 +213,11 @@ class ObserverDynamics:
         self.gate_count = need - 1  # every pair after the first has a gate
         self.dim = state_dim(variant, plant.n)
         self.labels = state_labels(variant, plant.n)
+        self.channel_labels = [
+            *self.labels, *(f"e{i}" for i in range(1, plant.n + 1)),
+            "e_f" if variant == "proposed" else "f_hat",
+            *(f"E{i}" for i in range(1, self.gate_count + 1)),
+        ]
         self._lam, self._alp, self._eps = lam, alp, epsilon
         self.reset()
 
@@ -267,26 +273,30 @@ class ObserverDynamics:
                 out += _HELD
         return out
 
-    def channels(self, y: np.ndarray, block: np.ndarray) -> dict:
-        """Named columns of a recorded (rows, dim) block driven by the
-        output column y: the block's own (``self.labels``), the errors
-        e1..en, ``e_f`` (proposed) or the ``f_hat`` readout (baseline),
-        and the gates E1..Em as 0.0/1.0, latched down the rows if latching.
+    def channels(self, y: np.ndarray, block: np.ndarray, out: dict) -> None:
+        """Write the named columns of a recorded (rows, dim) block driven
+        by the output column y into ``out``, which maps each label of
+        ``channel_labels`` to a writable column of that many rows: the
+        block's own (``self.labels``), the errors e1..en, ``e_f``
+        (proposed) or the ``f_hat`` readout (baseline), and the gates
+        E1..Em as 0.0/1.0 (the rule of ``gates``, column by column),
+        latched down the rows if latching.
         """
         n = self.n
-        cols = dict(zip(self.labels, block.T))
-        xtilde = [cols[f"xtilde{i}"] for i in range(2, n + 1)]
-        errors = [y - cols["xhat1"], *(xt - cols[f"xhat{i}"] for i, xt in enumerate(xtilde, 2))]
+        for label, col in zip(self.labels, block.T):
+            out[label][:] = col
+        xtilde = [out[f"xtilde{i}"] for i in range(2, n + 1)]
+        np.subtract(y, out["xhat1"], out=out["e1"])
+        for i, xt in enumerate(xtilde, 2):
+            np.subtract(xt, out[f"xhat{i}"], out=out[f"e{i}"])
         with np.errstate(invalid="ignore"):
             if self.variant == "proposed":
-                cols["e_f"] = cols["f_tilde"] - cols["f_hat"]
+                np.subtract(out["f_tilde"], out["f_hat"], out=out["e_f"])
             else:
-                cols["f_hat"] = baseline_fault_readout(
-                    np.column_stack([y, *xtilde]), cols["theta_tilde"], self.plant
+                out["f_hat"][:] = baseline_fault_readout(
+                    np.column_stack([y, *xtilde]), out["theta_tilde"], self.plant
                 )
-            open_ = gates(np.column_stack(errors[: self.gate_count]), self._eps)
-            if self.latching:
-                open_ = np.maximum.accumulate(open_, axis=0)
-        cols.update((f"e{i}", e) for i, e in enumerate(errors, 1))
-        cols.update((f"E{i}", g) for i, g in enumerate(open_.T.astype(float), 1))
-        return cols
+            open_ = np.ones(len(y), dtype=bool)
+            for i in range(1, self.gate_count + 1):
+                open_ &= np.abs(out[f"e{i}"]) <= self._eps
+                out[f"E{i}"][:] = np.logical_or.accumulate(open_) if self.latching else open_

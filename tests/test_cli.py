@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 import fracobs.fraccalc
-from fracobs import __version__, bundled_config
+from fracobs import __version__, bundled_config, cli
 from fracobs.cli import main
-from fracobs.harness import ExperimentConfig, config_hash, trace_columns
+from fracobs.fde import Trace
+from fracobs.harness import (
+    ExperimentConfig,
+    compare_observers,
+    config_hash,
+    run_experiment,
+    trace_columns,
+)
 
 
 def cfg_dict(**over):
@@ -33,6 +40,19 @@ def cfg_dict(**over):
             d.setdefault(sect, {})[leaf] = val
         else:
             d[sect] = val
+    return d
+
+
+def diverging_dict(t_end):
+    """A run whose observer blows up within its first second."""
+    d = cfg_dict(**{
+        "plant.preset": "arneodo-paper",
+        "fault.kind": "cosine", "fault.amplitude": 0.4,
+        "observer.lambdas": [1.0, 1.0, 10.0, 100.0],
+        "observer.alphas": [1e10, 200.0, 50.0, 100.0],
+        "grid.h": 1e-3, "grid.t_end": t_end,
+    })
+    del d["observer"]["gains"]
     return d
 
 
@@ -167,6 +187,14 @@ class TestRun:
         assert ("plant" if key.startswith("plant.") else key) + ": " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("init", ["[0,0]", "[0,0,0,0,0,0]"])
+    def test_observer_init_of_wrong_length_exits_2_before_output(self, tmp_path, cfg_file, capsys, init):
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_file), "--out", str(out), "--set", f"observer.init={init}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: observer.init: proposed observer with n=3 needs 8 entries")
+        assert not out.exists()
+
     def test_section_of_wrong_type_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg_dict(grid=5)))
@@ -188,16 +216,8 @@ class TestRun:
         assert "bundled" in capsys.readouterr().err
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
-        d = cfg_dict(**{
-            "plant.preset": "arneodo-paper",
-            "fault.kind": "cosine", "fault.amplitude": 0.4,
-            "observer.lambdas": [1.0, 1.0, 10.0, 100.0],
-            "observer.alphas": [1e10, 200.0, 50.0, 100.0],
-            "grid.h": 1e-3, "grid.t_end": 5.0,
-        })
-        del d["observer"]["gains"]
         p = tmp_path / "d.json"
-        p.write_text(json.dumps(d))
+        p.write_text(json.dumps(diverging_dict(t_end=5.0)))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 3
         assert "diverged" in capsys.readouterr().err
         man = json.loads((tmp_path / "cliunit_manifest.json").read_text())
@@ -232,6 +252,72 @@ class TestCompare:
         hp, _ = read_csv(tmp_path / "cliunit_proposed_trace.csv")
         hb, _ = read_csv(tmp_path / "cliunit_baseline_trace.csv")
         assert hp == hb == trace_columns(3)
+
+    @pytest.mark.parametrize("init", ["[0,0,0,0,0,0,0,0]", "[0,0,0,0,0,0]"])
+    def test_observer_init_exits_2_before_output(self, tmp_path, cfg_file, capsys, init):
+        # the two observers' states differ in length, so no one list fits both
+        out = tmp_path / "out"
+        assert main(["compare", str(cfg_file), "--out", str(out), "--set", f"observer.init={init}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: observer.init: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+def reference_csv(trace, n, stride):
+    """The trace CSV formatted cell by cell with repr."""
+    schema = trace_columns(n)
+    have = {lab: trace.values[::stride, i] for i, lab in enumerate(trace.labels)}
+    have["t"] = trace.times()[::stride]
+    columns = [have.get(name) for name in schema]
+    lines = [",".join(schema)]
+    for k in range(len(have["t"])):
+        lines.append(",".join("" if col is None else repr(float(col[k])) for col in columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteTraceCsv:
+    """``write_trace_csv`` against a per-cell repr reference, in chunks of 7
+    rows so that the rows span several chunks and the last one is short."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+
+    @pytest.fixture(scope="class")
+    def comparison(self):
+        return compare_observers(ExperimentConfig.from_dict(cfg_dict(**{"grid.t_end": 1.0})))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_proposed_and_baseline_traces(self, tmp_path, comparison, stride):
+        base = comparison.trace_b
+        assert {"f_tilde", "e_f", "E3"}.isdisjoint(base.labels)
+        for trace in (comparison.trace_a, base):
+            path = tmp_path / "t.csv"
+            cli.write_trace_csv(path, trace, 3, stride)
+            assert path.read_bytes() == reference_csv(trace, 3, stride)
+        _, rows = read_csv(path)
+        empty = [trace_columns(3).index(c) for c in ("f_tilde", "e_f", "E3")]
+        assert all(row[i] == "" for row in rows for i in empty)
+
+    def test_diverged_trace_writes_nan_rows(self, tmp_path):
+        trace, _ = run_experiment(ExperimentConfig.from_dict(diverging_dict(t_end=1.0)))
+        assert trace.diverged
+        path = tmp_path / "d.csv"
+        cli.write_trace_csv(path, trace, 3, 1)
+        assert path.read_bytes() == reference_csv(trace, 3, 1)
+        assert ",nan," in path.read_text().splitlines()[-1]
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path, comparison):
+        src = comparison.trace_a
+        values = src.values.copy()
+        values[0, 0] = -0.0
+        values[5, 4] = -0.0
+        trace = Trace(grid=src.grid, labels=src.labels, values=values)
+        path = tmp_path / "z.csv"
+        cli.write_trace_csv(path, trace, 3, 1)
+        assert path.read_bytes() == reference_csv(trace, 3, 1)
+        _, rows = read_csv(path)
+        assert rows[0][1] == "-0.0"
 
 
 class TestValidate:

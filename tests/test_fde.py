@@ -1,12 +1,15 @@
 """Explicit GL solver: shift exactness, oracles, memory truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracobs import fde
+from fracobs.fde import _group_size as group_size
 from fracobs.fde import (
     DIVERGENCE_BOUND,
     SimGrid,
@@ -296,6 +299,42 @@ class TestFastHistorySum:
         grid, f, _, x0 = case
         assert np.array_equal(integrate(f, 1.0, grid, x0).values,
                               direct_gl(f, 1.0, grid, x0))
+
+
+class TestMarchMemory:
+    def test_scratch_stays_under_four_columns(self):
+        # the width and memory of example1, with a null field that returns
+        # a list as the harness's fields do; over Z the march holds the
+        # weights and the far field's scratch, one column each or so
+        n, dim = 30000, 11
+        zero = [0.0] * dim
+        field = VectorField(dim=dim, eval=lambda t, x: zero)
+        integrate(field, 0.9, SimGrid(h=1e-3, t_end=1.0), np.ones(dim))  # first-use imports
+        tracemalloc.start()
+        try:
+            tr = integrate(field, 0.9, SimGrid(h=1e-3, t_end=n * 1e-3), np.ones(dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = (n + 1) * 8
+        assert tr.values.nbytes == dim * column
+        assert peak < tr.values.nbytes + 4 * column, f"{(peak - tr.values.nbytes) / column:.2f} columns over Z"
+
+    def test_grouped_far_field_is_bit_identical_to_all_columns(self, monkeypatch):
+        sizes = []
+
+        def recorded(dim, n, nfft):
+            sizes.append((dim, group_size(dim, n, nfft)))
+            return sizes[-1][1]
+
+        for grid, f, alpha, x0 in (DEEP[3], DEEP[4]):
+            monkeypatch.setattr(fde, "_group_size", recorded)
+            grouped = integrate(f, alpha, grid, x0).values
+            monkeypatch.setattr(fde, "_group_size", lambda dim, n, nfft: dim)
+            whole = integrate(f, alpha, grid, x0).values
+            assert np.array_equal(grouped, whole)
+        # the top splits of both marches transform fewer than all columns
+        assert {g for dim, g in sizes if g < dim} >= {1, 2}
 
 
 class TestShortMemory:

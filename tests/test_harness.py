@@ -18,10 +18,12 @@ from fracobs.harness import (
     config_hash,
     replay_observer,
     run_experiment,
+    trace_columns,
 )
 from fracobs.configs import bundled_config
 from fracobs.fde import SimGrid, integrate
-from fracobs.plants import NoiseSpec, assemble_field, noise_signal, plant_preset
+from fracobs.observers import baseline_fault_readout, gates
+from fracobs.plants import NoiseSpec, assemble_field, fault_value, noise_signal, plant_preset
 
 
 def gt_dict(**over):
@@ -155,10 +157,14 @@ class TestConfigParsing:
         assert cfg.build_gains("baseline", 3) == ((0.5,) * 3, (0.5,) * 3)
 
     def test_observer_init_length_checked(self):
+        # against the configured variant when the config is read, before any run
         d = gt_dict(**{"observer.init": [0.0] * 5})
-        cfg = ExperimentConfig.from_dict(d)
-        with pytest.raises(ConfigError):
-            cfg.build_init_state("proposed", 3)
+        with pytest.raises(ConfigError, match="observer.init: proposed observer with n=3 needs 8 entries, got 5"):
+            ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(gt_dict(**{"observer.init": [0.0] * 8}))
+        assert cfg.build_init_state("proposed", 3).tolist() == [0.0] * 8
+        with pytest.raises(ConfigError, match="baseline observer with n=3 needs 6 entries, got 8"):
+            cfg.build_init_state("baseline", 3)
 
 
 class TestRunExperiment:
@@ -391,6 +397,88 @@ class TestOneMarch:
         text = (tmp_path / "unit_comparison.txt").read_text()
         assert "common window: none (the run diverged at t = 6.8)" in text
         assert "never settles" not in text
+
+
+def dict_channels(obs, y, block):
+    """``ObserverDynamics.channels`` in the form the in-place trace
+    replaced: a dict of new arrays, the gates through ``gates``."""
+    n = obs.n
+    cols = dict(zip(obs.labels, block.T))
+    xtilde = [cols[f"xtilde{i}"] for i in range(2, n + 1)]
+    errors = [y - cols["xhat1"], *(xt - cols[f"xhat{i}"] for i, xt in enumerate(xtilde, 2))]
+    with np.errstate(invalid="ignore"):
+        if obs.variant == "proposed":
+            cols["e_f"] = cols["f_tilde"] - cols["f_hat"]
+        else:
+            cols["f_hat"] = baseline_fault_readout(
+                np.column_stack([y, *xtilde]), cols["theta_tilde"], obs.plant
+            )
+        open_ = gates(np.column_stack(errors[: obs.gate_count]), obs._eps)
+        if obs.latching:
+            open_ = np.maximum.accumulate(open_, axis=0)
+    cols.update((f"e{i}", e) for i, e in enumerate(errors, 1))
+    cols.update((f"E{i}", g) for i, g in enumerate(open_.T.astype(float), 1))
+    return cols
+
+
+class TestEnrichedTrace:
+    """Each trace is built in one allocation that the observer writes into;
+    it equals the dict + ``np.column_stack`` form it replaced, cell for cell."""
+
+    @pytest.mark.parametrize("over, variants", [
+        ({}, ("proposed",)),
+        ({"observer.variant": "baseline", "noise.variance": 0.5}, ("baseline",)),
+        ({"observer.latching": True}, ("proposed", "baseline")),
+        ({"noise.variance": 0.5}, ("proposed", "baseline")),
+        ("diverging", ("proposed", "baseline")),
+    ])
+    def test_matches_the_column_stack_form(self, monkeypatch, over, variants):
+        d = diverging_proposed_dict() if over == "diverging" else gt_dict(**over)
+        cfg = ExperimentConfig.from_dict(d)
+        marches = []
+        real = fracobs.harness.integrate
+
+        def recorded(*args, **kwargs):
+            marches.append(real(*args, **kwargs))
+            return marches[-1]
+
+        monkeypatch.setattr(fracobs.harness, "integrate", recorded)
+        if len(variants) == 1:
+            traces = [run_experiment(cfg)[0]]
+        else:
+            res = compare_observers(cfg, *variants)
+            traces = [res.trace_a, res.trace_b]
+        (raw,) = marches
+        grid, plant = cfg.build_grid(), cfg.build_plant()
+        n = plant.n
+        f_true = np.array([fault_value(cfg.fault, t) for t in grid.times().tolist()])
+        lo = n
+        for variant, trace in zip(variants, traces):
+            obs = cfg.build_observer(variant, plant)
+            cols = {f"x{i + 1}": raw.values[:, i] for i in range(n)}
+            cols["f_true"] = f_true
+            cols.update(dict_channels(obs, raw.values[:, 0], raw.values[:, lo:lo + obs.dim]))
+            labels = [c for c in trace_columns(n) if c in cols]
+            assert trace.labels == labels
+            assert np.array_equal(trace.values, np.column_stack([cols[c] for c in labels]),
+                                  equal_nan=True)
+            assert trace.diverged == raw.diverged == (over == "diverging")
+            lo += obs.dim
+
+    @pytest.mark.parametrize("fault", [
+        {"kind": "none"},
+        {"kind": "cosine", "amplitude": 0.4, "frequency": 3.0, "onset": 0.0},
+        {"kind": "sine", "amplitude": 0.06, "frequency": 1.7, "onset": 0.37},
+        {"kind": "step", "amplitude": -0.25, "onset": 1.001},
+        {"kind": "ramp", "amplitude": 0.3, "onset": 0.37},
+        {"kind": "custom", "samples": [0.1, -0.3, 0.25], "sample_dt": 0.7, "onset": 0.37},
+    ])
+    def test_f_true_is_fault_value_on_the_grid_times(self, fault):
+        cfg = ExperimentConfig.from_dict(gt_dict(fault=fault, **{"grid.h": 1e-3, "grid.t_end": 2.5}))
+        trace, _ = run_experiment(cfg)
+        want = np.array([fault_value(cfg.fault, t) for t in cfg.build_grid().times().tolist()])
+        # bit for bit, so a -0.0 counts
+        assert np.array_equal(trace.channel("f_true").view(np.int64), want.view(np.int64))
 
 
 class TestBenchmarkSetupContract:

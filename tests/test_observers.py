@@ -329,6 +329,13 @@ class TestObserverDynamics:
             ObserverDynamics("improved", arneodo(), **PROPOSED_GAINS)
 
 
+def written_channels(dyn, y, block):
+    """The columns ``channels`` writes, each into its own array."""
+    out = {label: np.full(len(y), np.nan) for label in dyn.channel_labels}
+    dyn.channels(y, block, out)
+    return out
+
+
 class TestChannels:
     """``channels`` on hand-made blocks at epsilon = 0.125; the entries are
     chosen so that every error is exact in binary floating point."""
@@ -343,7 +350,7 @@ class TestChannels:
     ])
 
     def test_proposed_hand_values(self):
-        ch = dynamics("proposed", epsilon=0.125).channels(self.Y, self.BLOCK)
+        ch = written_channels(dynamics("proposed", epsilon=0.125), self.Y, self.BLOCK)
         assert sorted(ch) == sorted(state_labels("proposed", 3) + ["e1", "e2", "e3", "e_f", "E1", "E2", "E3"])
         assert ch["xtilde2"].tolist() == [0.25, 0.25, 1.0]
         assert ch["e1"].tolist() == [0.0625, 1.0625, 0.0625]
@@ -356,7 +363,7 @@ class TestChannels:
         assert ch["E3"].tolist() == [1.0, 0.0, 0.0]
 
     def test_latched_gates_stay_open_after_errors_leave_the_band(self):
-        ch = dynamics("proposed", epsilon=0.125, latching=True).channels(self.Y, self.BLOCK)
+        ch = written_channels(dynamics("proposed", epsilon=0.125, latching=True), self.Y, self.BLOCK)
         assert ch["e1"][1] > 0.125 and ch["e2"][2] > 0.125
         assert [ch[f"E{i}"].tolist() for i in (1, 2, 3)] == [[1.0, 1.0, 1.0]] * 3
 
@@ -365,13 +372,13 @@ class TestChannels:
         y = np.array([0.5, 0.0])
         block = np.array([[0.4375, 0.4, 0.4, 0.6, 0.6, -0.3],
                           [0.25, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        ch = dynamics("baseline", epsilon=0.125).channels(y, block)
+        ch = written_channels(dynamics("baseline", epsilon=0.125), y, block)
         assert sorted(ch) == sorted(state_labels("baseline", 3) + ["e1", "e2", "e3", "f_hat", "E1", "E2"])
         assert ch["f_hat"] == pytest.approx([-1.045, 1.0], abs=1e-15)
         assert ch["e1"].tolist() == [0.0625, -0.25]
         assert ch["e2"].tolist() == ch["e3"].tolist() == [0.0, 0.0]
         assert ch["E1"].tolist() == ch["E2"].tolist() == [1.0, 0.0]
-        latched = dynamics("baseline", epsilon=0.125, latching=True).channels(y, block)
+        latched = written_channels(dynamics("baseline", epsilon=0.125, latching=True), y, block)
         assert latched["E1"].tolist() == latched["E2"].tolist() == [1.0, 1.0]
 
     def test_trace_labels_are_the_schema_filtered(self):
