@@ -14,7 +14,7 @@ The package is organized bottom-up:
                    dump-config).
 """
 
-from importlib.metadata import PackageNotFoundError, version
+__version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, SingularGainError
 from .fraccalc import (
@@ -59,11 +59,6 @@ from .harness import (
     run_experiment,
 )
 from .configs import BUNDLED_CONFIGS, bundled_config
-
-try:
-    __version__ = version("fracobs")
-except PackageNotFoundError:  # pragma: no cover - not installed
-    __version__ = "0.0.0"
 
 __all__ = [
     "ConfigError",

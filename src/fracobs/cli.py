@@ -27,9 +27,7 @@ from .configs import BUNDLED_CONFIGS, bundled_config
 from .errors import ConfigError
 from .fde import Trace
 from .harness import (
-    ComparisonResult,
     ExperimentConfig,
-    MetricsReport,
     compare_observers,
     config_hash,
     run_experiment,
@@ -111,24 +109,42 @@ def write_trace_csv(path: Path, trace: Trace, n: int, stride: int) -> None:
             fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _write_manifest(path: Path, cfg: ExperimentConfig, duration: float,
-                    outputs: list[Path], diverged: bool) -> None:
+def _write_outputs(out_arg: Optional[str], cfg: ExperimentConfig, duration: float,
+                   traces: dict[str, Trace], report: tuple[str, str],
+                   diverged_at: Optional[float]) -> int:
+    """Write a finished run into the output directory and print its paths.
+
+    The directory is created here, after the run, so a config error raised
+    while the run is built leaves nothing behind. ``traces`` maps CSV file
+    names to traces; ``report`` is (file name, text). Returns the exit code.
+    """
+    out = Path(out_arg or os.environ.get("FRACOBS_OUT", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    n = cfg.build_plant().n
+    paths = []
+    for name, trace in traces.items():
+        paths.append(out / name)
+        write_trace_csv(paths[-1], trace, n, cfg.output_stride)
+    paths.append(out / report[0])
+    paths[-1].write_text(report[1] + "\n")
     manifest = {
         "name": cfg.name,
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "version": __version__,
         "duration_s": round(duration, 3),
-        "diverged": diverged,
-        "outputs": [p.name for p in outputs],
+        "diverged": diverged_at is not None,
+        "outputs": [p.name for p in paths],
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    paths.append(out / f"{cfg.name}_manifest.json")
+    paths[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-
-def _out_dir(arg: Optional[str]) -> Path:
-    out = Path(arg or os.environ.get("FRACOBS_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    for p in paths:
+        print(p)
+    if diverged_at is not None:
+        print(f"run diverged at t = {diverged_at}", file=sys.stderr)
+        return EXIT_DIVERGED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +152,11 @@ def _out_dir(arg: Optional[str]) -> Path:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.set or [], args.seed)
-    out = _out_dir(args.out)
     t0 = time.perf_counter()
     trace, report = run_experiment(cfg)
     duration = time.perf_counter() - t0
-
-    n = cfg.build_plant().n
-    csv_path = out / f"{cfg.name}_trace.csv"
-    met_path = out / f"{cfg.name}_metrics.txt"
-    man_path = out / f"{cfg.name}_manifest.json"
-    write_trace_csv(csv_path, trace, n, cfg.output_stride)
-    met_path.write_text(report.to_text() + "\n")
-    _write_manifest(man_path, cfg, duration, [csv_path, met_path], trace.diverged)
-
-    for p in (csv_path, met_path, man_path):
-        print(p)
-    if trace.diverged:
-        print(f"run diverged at t = {trace.diverged_at}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _write_outputs(args.out, cfg, duration, {f"{cfg.name}_trace.csv": trace},
+                          (f"{cfg.name}_metrics.txt", report.to_text()), trace.diverged_at)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -165,32 +167,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "compare runs the proposed and the baseline observer, whose states "
             "differ in length, so one flat init list cannot start both",
         )
-    out = _out_dir(args.out)
     t0 = time.perf_counter()
     result = compare_observers(cfg)
     duration = time.perf_counter() - t0
-
-    n = cfg.build_plant().n
-    paths = []
-    for trace, variant in ((result.trace_a, result.variant_a),
-                           (result.trace_b, result.variant_b)):
-        p = out / f"{cfg.name}_{variant}_trace.csv"
-        write_trace_csv(p, trace, n, cfg.output_stride)
-        paths.append(p)
-    rep_path = out / f"{cfg.name}_comparison.txt"
-    rep_path.write_text(result.to_text() + "\n")
-    paths.append(rep_path)
-    diverged = result.diverged_at is not None
-    man_path = out / f"{cfg.name}_manifest.json"
-    _write_manifest(man_path, cfg, duration, paths, diverged)
-
-    print(result.to_text())
-    for p in paths + [man_path]:
-        print(p)
-    if diverged:
-        print(f"run diverged at t = {result.diverged_at}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    text = result.to_text()
+    print(text)
+    traces = {f"{cfg.name}_{result.variant_a}_trace.csv": result.trace_a,
+              f"{cfg.name}_{result.variant_b}_trace.csv": result.trace_b}
+    return _write_outputs(args.out, cfg, duration, traces,
+                          (f"{cfg.name}_comparison.txt", text), result.diverged_at)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

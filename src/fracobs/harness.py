@@ -117,7 +117,8 @@ def _as_floats(v, path: str) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (JSON-compatible).
+    """Validated experiment description (JSON-compatible); build it with
+    ``from_dict``, which holds every default.
 
     ``observer_gains`` is either a scalar (broadcast to the gain count the
     chosen variant needs) or a pair of explicit tuples (lambdas, alphas).
@@ -131,17 +132,17 @@ class ExperimentConfig:
     h: float
     t_end: float
     memory: Union[int, str]
-    seed: int = 0
-    plant_alpha: Optional[float] = None
-    plant_betas: Optional[tuple] = None
-    plant_x0: Optional[tuple] = None
-    fault: Optional[FaultSignal] = None
-    noise_variance: float = 0.0
-    observer_gains: Union[float, tuple] = 1.0
-    epsilon: float = DEFAULT_EPSILON
-    latching: bool = False
-    observer_init: Optional[tuple] = None
-    output_stride: int = 10
+    seed: int
+    plant_alpha: Optional[float]
+    plant_betas: Optional[tuple]
+    plant_x0: Optional[tuple]
+    fault: Optional[FaultSignal]
+    noise_variance: float
+    observer_gains: Union[float, tuple]
+    epsilon: float
+    latching: bool
+    observer_init: Optional[tuple]
+    output_stride: int
 
     # -- construction ------------------------------------------------------
 
@@ -155,8 +156,8 @@ class ExperimentConfig:
             "",
         )
         name = raw.get("name", "run")
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ConfigError("name", f"expected a non-empty file name without path separators, got {name!r}")
+        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in ("/", "\\", "\0")):
+            raise ConfigError("name", f"expected a non-empty file name without path separators or NUL, got {name!r}")
 
         plant = _section(raw, "plant", {"preset", "alpha", "betas", "x0"})
         preset = _require(plant, "preset", "plant")

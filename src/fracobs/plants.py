@@ -12,14 +12,13 @@ entering the same equation, not scaled by ``b``. Both are functions of t
 alone (``fault_value``, ``noise_signal``), so the assembled field is a
 pure function of (t, x).
 
-Two chaotic presets are bundled:
+Two chaotic presets are bundled, both the three-state chain with drift
+a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^p (``_chain_plant``):
 
-* ``arneodo``      -- a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^3,
-                      betas (-5.5, 3.5, 0.8, -1.0), alpha 0.97.
-* ``genesio_tesi`` -- a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^2,
-                      betas (1.0, 1.1, 0.44, 1.0), alpha 0.9.
+* ``arneodo``      -- p = 3, betas (-5.5, 3.5, 0.8, -1.0), alpha 0.97.
+* ``genesio_tesi`` -- p = 2, betas (1.0, 1.1, 0.44, 1.0), alpha 0.9.
 
-Each preset writes its drift once, over components: ``drift(x1, .., xn)``
+The chain writes its drift once, over components: ``drift(x1, .., xn)``
 on Python floats for the per-step field, and ``PlantModel.a(x)`` unpacks
 the last axis of an array into the same expression, so x may be shape
 (n,) or (rows, n) and the harness reads out whole trace columns with it.
@@ -184,11 +183,21 @@ def _unit_gain(*x) -> float:
     return 1.0
 
 
-def _four_betas(name: str, betas: Sequence[float]) -> tuple:
+def _chain_plant(name: str, power: int, alpha: float, betas: Sequence[float],
+                 x0: Sequence[float]) -> PlantModel:
+    """The three-state chain with drift -b1*x1 - b2*x2 - b3*x3 + b4*x1**power."""
     b = tuple(float(v) for v in betas)
     if len(b) != 4:
         raise ValueError(f"{name} needs 4 betas, got {len(b)}")
-    return b
+    b1, b2, b3, b4 = b
+
+    def drift(x1, x2, x3):
+        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** power
+
+    return PlantModel(
+        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
+        params={"betas": b}, name=name,
+    )
 
 
 def arneodo(
@@ -197,15 +206,7 @@ def arneodo(
     x0: Sequence[float] = (-0.2, 0.5, 0.2),
 ) -> PlantModel:
     """Arneodo chaotic system, cubic drift, stock chaotic parameter set."""
-    b1, b2, b3, b4 = _four_betas("arneodo", betas)
-
-    def drift(x1, x2, x3):
-        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 3
-
-    return PlantModel(
-        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
-        params={"betas": (b1, b2, b3, b4)}, name="arneodo",
-    )
+    return _chain_plant("arneodo", 3, alpha, betas, x0)
 
 
 def genesio_tesi(
@@ -218,15 +219,7 @@ def genesio_tesi(
     The default initial state was picked empirically for a bounded
     (sup-norm < 10) trajectory over the benchmark horizon.
     """
-    b1, b2, b3, b4 = _four_betas("genesio_tesi", betas)
-
-    def drift(x1, x2, x3):
-        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** 2
-
-    return PlantModel(
-        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
-        params={"betas": (b1, b2, b3, b4)}, name="genesio_tesi",
-    )
+    return _chain_plant("genesio_tesi", 2, alpha, betas, x0)
 
 
 PLANT_PRESETS = {

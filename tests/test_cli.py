@@ -166,6 +166,11 @@ class TestRun:
         rc = main(["run", str(cfg_file), "--out", str(tmp_path / "sub"), "--set", "name=../escaped"])
         assert rc == 2
         assert not list(tmp_path.glob("escaped_*"))
+        # a NUL byte would pass the run and fail at open(); it is a config error instead
+        rc = main(["run", str(cfg_file), "--out", str(tmp_path / "nul"), "--set", 'name="a\\u0000b"'])
+        assert rc == 2
+        assert "name: " in capsys.readouterr().err
+        assert not (tmp_path / "nul").exists()
 
     @pytest.mark.parametrize("override", [
         "grid.h=NaN",
@@ -252,6 +257,20 @@ class TestCompare:
         hp, _ = read_csv(tmp_path / "cliunit_proposed_trace.csv")
         hb, _ = read_csv(tmp_path / "cliunit_baseline_trace.csv")
         assert hp == hb == trace_columns(3)
+
+    def test_gains_fitting_only_the_baseline_exit_2_before_output(self, tmp_path, capsys):
+        # from_dict builds only the configured baseline; compare also builds
+        # the proposed observer, which needs n+1 = 4 gain pairs
+        d = cfg_dict(**{"observer.variant": "baseline",
+                        "observer.lambdas": [1.0, 2.0, 3.0], "observer.alphas": [1.0, 2.0, 3.0]})
+        del d["observer"]["gains"]
+        p = tmp_path / "b3.json"
+        p.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert main(["compare", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: observer.gains: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("init", ["[0,0,0,0,0,0,0,0]", "[0,0,0,0,0,0]"])
     def test_observer_init_exits_2_before_output(self, tmp_path, cfg_file, capsys, init):
@@ -341,17 +360,30 @@ class TestValidate:
         assert "FAIL" in capsys.readouterr().out
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_import_loads_no_scipy():
-    # the runtime needs numpy only; scipy costs most of a cold import
-    src = Path(__file__).resolve().parents[1] / "src"
+    # the runtime needs numpy only; scipy costs most of a cold import, and
+    # importlib.metadata pulls in email, socket and calendar
     code = (
         "import sys, fracobs, fracobs.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules for top in ('scipy', 'importlib.metadata') "
+        "if m == top or m.startswith(top + '.')))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_version_from_a_checkout():
+    # the version is a literal in the package, so an uninstalled checkout has it too
+    out = subprocess.run(
+        [sys.executable, "-m", "fracobs.cli", "--version"],
+        cwd=SRC, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "fracobs 0.1.0\n"
 
 
 def test_package_exports_come_from_submodule_all():

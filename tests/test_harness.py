@@ -97,6 +97,7 @@ class TestConfigParsing:
         (lambda d: d.__setitem__("name", "."), "name"),
         (lambda d: d.__setitem__("name", ".."), "name"),
         (lambda d: d.__setitem__("name", 5), "name"),
+        (lambda d: d.__setitem__("name", "a\0b"), "name"),
         (lambda d: d.__setitem__("seed", -1), "seed"),
         # sections must be objects and list keys lists
         (lambda d: d.__setitem__("grid", 5), "grid"),
