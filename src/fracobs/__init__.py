@@ -9,7 +9,8 @@ The package is organized bottom-up:
 * ``plants``    -- observable-form benchmark plants, faults, noise.
 * ``observers`` -- baseline and proposed sliding-mode observer cascades.
 * ``metrics``   -- settle time, RMSE, chattering index.
-* ``harness``   -- experiment configs, co-simulation, fair comparison.
+* ``configs``   -- the experiment config schema and the bundled configs.
+* ``harness``   -- co-simulation, fair comparison, observer replay.
 * ``cli``       -- command-line front end (run / compare / validate /
                    dump-config).
 """
@@ -50,15 +51,13 @@ from .observers import (
     sta_convergence_time,
 )
 from .metrics import MetricsReport, chattering_index, settle_time
+from .configs import BUNDLED_CONFIGS, ExperimentConfig, bundled_config, config_hash
 from .harness import (
     ComparisonResult,
-    ExperimentConfig,
     compare_observers,
-    config_hash,
     replay_observer,
     run_experiment,
 )
-from .configs import BUNDLED_CONFIGS, bundled_config
 
 __all__ = [
     "ConfigError",

@@ -6,7 +6,8 @@ Subcommands:
   validate              numerics self-checks against closed-form oracles
   dump-config <preset>  print a bundled config as JSON
 
-Exit codes: 0 ok, 1 validation failure, 2 config error, 3 diverged run.
+Exit codes: 0 ok, 1 validation failure, 2 config error, 3 diverged run,
+4 the outputs could not be written.
 The default output directory comes from $FRACOBS_OUT, else the cwd.
 """
 
@@ -23,21 +24,16 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .configs import BUNDLED_CONFIGS, bundled_config
+from .configs import BUNDLED_CONFIGS, ExperimentConfig, bundled_config, config_hash
 from .errors import ConfigError
 from .fde import Trace
-from .harness import (
-    ExperimentConfig,
-    compare_observers,
-    config_hash,
-    run_experiment,
-    trace_columns,
-)
+from .harness import compare_observers, run_experiment, trace_columns
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_OUTPUT = 4
 
 
 def _load_config(source: str, overrides: list[str], seed: Optional[int]) -> ExperimentConfig:
@@ -115,29 +111,35 @@ def _write_outputs(out_arg: Optional[str], cfg: ExperimentConfig, duration: floa
     """Write a finished run into the output directory and print its paths.
 
     The directory is created here, after the run, so a config error raised
-    while the run is built leaves nothing behind. ``traces`` maps CSV file
-    names to traces; ``report`` is (file name, text). Returns the exit code.
+    while the run is built leaves nothing behind. A directory or file that
+    cannot be written (a path under a regular file, no permission, a full
+    disk) is reported, not raised. ``traces`` maps CSV file names to
+    traces; ``report`` is (file name, text). Returns the exit code.
     """
     out = Path(out_arg or os.environ.get("FRACOBS_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
     n = cfg.build_plant().n
     paths = []
-    for name, trace in traces.items():
-        paths.append(out / name)
-        write_trace_csv(paths[-1], trace, n, cfg.output_stride)
-    paths.append(out / report[0])
-    paths[-1].write_text(report[1] + "\n")
-    manifest = {
-        "name": cfg.name,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-        "duration_s": round(duration, 3),
-        "diverged": diverged_at is not None,
-        "outputs": [p.name for p in paths],
-    }
-    paths.append(out / f"{cfg.name}_manifest.json")
-    paths[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, trace in traces.items():
+            paths.append(out / name)
+            write_trace_csv(paths[-1], trace, n, cfg.output_stride)
+        paths.append(out / report[0])
+        paths[-1].write_text(report[1] + "\n")
+        manifest = {
+            "name": cfg.name,
+            "config_hash": config_hash(cfg),
+            "seed": cfg.seed,
+            "version": __version__,
+            "duration_s": round(duration, 3),
+            "diverged": diverged_at is not None,
+            "outputs": [p.name for p in paths],
+        }
+        paths.append(out / f"{cfg.name}_manifest.json")
+        paths[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
     for p in paths:
         print(p)

@@ -105,20 +105,16 @@ class SimGrid:
         n = self.n_steps
         if n < 1:
             raise ValueError(f"grid must contain at least one step, got t_end={self.t_end}, h={self.h}")
-        if self.memory_len != FULL_MEMORY:
-            m = int(self.memory_len)
-            if m < 1 or m > n:
-                raise ValueError(
-                    f"memory_len must be 'full' or an integer in [1, n_steps={n}], got {self.memory_len!r}"
-                )
-            object.__setattr__(self, "memory_len", m)
+        m = self.memory_len
+        if m != FULL_MEMORY and (isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= n):
+            raise ValueError(f"memory_len must be 'full' or an integer in [1, n_steps={n}], got {m!r}")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.h))
 
     def effective_memory(self) -> int:
-        return self.n_steps if self.memory_len == FULL_MEMORY else int(self.memory_len)
+        return self.n_steps if self.memory_len == FULL_MEMORY else self.memory_len
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h

@@ -22,16 +22,13 @@ columns, the true fault and its observer's ``ObserverDynamics.channels``.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .fde import SimGrid, Trace, VectorField, integrate, FULL_MEMORY
+from .configs import ExperimentConfig
+from .fde import Trace, VectorField, integrate
 from .metrics import (
     DEFAULT_DWELL,
     MetricsReport,
@@ -41,343 +38,16 @@ from .metrics import (
     settle_time,
     sup_error,
 )
-from .observers import (
-    DEFAULT_EPSILON,
-    ObserverDynamics,
-    VARIANTS,
-    required_gain_count,
-    state_dim,
-)
-from .plants import (
-    FAULT_KINDS,
-    FaultSignal,
-    NoiseSpec,
-    PLANT_PRESETS,
-    PlantModel,
-    assemble_field,
-    fault_value,
-    noise_signal,
-    plant_preset,
-)
+from .observers import ObserverDynamics
+from .plants import PlantModel, assemble_field, fault_value
 
 __all__ = [
-    "ExperimentConfig",
     "run_experiment",
     "compare_observers",
     "ComparisonResult",
-    "config_hash",
     "replay_observer",
     "trace_columns",
-    "SHORT_MEMORY_DEFAULT",
-    "SHORT_MEMORY_HORIZON",
 ]
-
-# Runs longer than this horizon default to truncated memory.
-SHORT_MEMORY_HORIZON = 50.0
-SHORT_MEMORY_DEFAULT = 5000
-
-
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "required key is missing")
-    return d[key]
-
-
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    for k in d:
-        if k not in allowed:
-            where = f"{path}.{k}" if path else k
-            raise ConfigError(where, "unknown key")
-
-
-def _section(raw: dict, key: str, allowed, required: bool = True) -> Optional[dict]:
-    """The object under ``key``; an absent optional section reads as None."""
-    sect = _require(raw, key, "") if required else raw.get(key)
-    if sect is None and not required:
-        return None
-    if not isinstance(sect, dict):
-        raise ConfigError(key, f"expected an object, got {sect!r}")
-    _reject_unknown(sect, allowed, key)
-    return sect
-
-
-def _as_float(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:  # NaN, +-inf, or an int past the float range
-        raise ConfigError(path, f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _as_floats(v, path: str) -> tuple:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(path, f"expected a list of numbers, got {v!r}")
-    return tuple(_as_float(x, path) for x in v)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description (JSON-compatible); build it with
-    ``from_dict``, which holds every default.
-
-    ``observer_gains`` is either a scalar (broadcast to the gain count the
-    chosen variant needs) or a pair of explicit tuples (lambdas, alphas).
-    ``memory`` is "full" or an integer; when omitted in the dict form it
-    resolves to "full" for t_end <= 50 s and to 5000 steps beyond that.
-    """
-
-    name: str
-    plant_preset_name: str
-    observer_variant: str
-    h: float
-    t_end: float
-    memory: Union[int, str]
-    seed: int
-    plant_alpha: Optional[float]
-    plant_betas: Optional[tuple]
-    plant_x0: Optional[tuple]
-    fault: Optional[FaultSignal]
-    noise_variance: float
-    observer_gains: Union[float, tuple]
-    epsilon: float
-    latching: bool
-    observer_init: Optional[tuple]
-    output_stride: int
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("", f"config root must be an object, got {type(raw).__name__}")
-        _reject_unknown(
-            raw,
-            {"name", "plant", "fault", "noise", "observer", "grid", "output_stride", "seed"},
-            "",
-        )
-        name = raw.get("name", "run")
-        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in ("/", "\\", "\0")):
-            raise ConfigError("name", f"expected a non-empty file name without path separators or NUL, got {name!r}")
-
-        plant = _section(raw, "plant", {"preset", "alpha", "betas", "x0"})
-        preset = _require(plant, "preset", "plant")
-        if not isinstance(preset, str) or preset not in PLANT_PRESETS:
-            raise ConfigError("plant.preset", f"unknown preset {preset!r}, expected one of {sorted(PLANT_PRESETS)}")
-        p_alpha = plant.get("alpha")
-        if p_alpha is not None:
-            p_alpha = _as_float(p_alpha, "plant.alpha")
-            if not (0.0 < p_alpha <= 1.0):
-                raise ConfigError("plant.alpha", f"must satisfy 0 < alpha <= 1, got {p_alpha}")
-        p_betas = plant.get("betas")
-        if p_betas is not None:
-            p_betas = _as_floats(p_betas, "plant.betas")
-        p_x0 = plant.get("x0")
-        if p_x0 is not None:
-            p_x0 = _as_floats(p_x0, "plant.x0")
-
-        fault_cfg = _section(
-            raw, "fault", {"kind", "amplitude", "frequency", "onset", "samples", "sample_dt"},
-            required=False,
-        )
-        fault_sig = None
-        if fault_cfg is not None:
-            kind = fault_cfg.get("kind", "none")
-            if kind not in FAULT_KINDS:
-                raise ConfigError("fault.kind", f"unknown kind {kind!r}, expected one of {FAULT_KINDS}")
-            samples = fault_cfg.get("samples")
-            sample_dt = fault_cfg.get("sample_dt")
-            try:
-                fault_sig = FaultSignal(
-                    kind=kind,
-                    amplitude=_as_float(fault_cfg.get("amplitude", 0.0), "fault.amplitude"),
-                    frequency=_as_float(fault_cfg.get("frequency", 1.0), "fault.frequency"),
-                    onset=_as_float(fault_cfg.get("onset", 0.0), "fault.onset"),
-                    samples=None if samples is None else _as_floats(samples, "fault.samples"),
-                    sample_dt=None if sample_dt is None else _as_float(sample_dt, "fault.sample_dt"),
-                )
-            except ValueError as exc:
-                raise ConfigError("fault", str(exc)) from None
-            if fault_sig.kind == "none":
-                fault_sig = None
-
-        noise_cfg = _section(raw, "noise", {"variance"}, required=False)
-        variance = 0.0
-        if noise_cfg is not None:
-            variance = _as_float(noise_cfg.get("variance", 0.0), "noise.variance")
-            if variance < 0.0:
-                raise ConfigError("noise.variance", f"must be >= 0, got {variance}")
-
-        obs = _section(raw, "observer", {"variant", "gains", "lambdas", "alphas", "epsilon", "latching", "init"})
-        variant = _require(obs, "variant", "observer")
-        if variant not in VARIANTS:
-            raise ConfigError("observer.variant", f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if "gains" in obs and ("lambdas" in obs or "alphas" in obs):
-            raise ConfigError("observer.gains", "give either the scalar 'gains' or explicit lambdas/alphas, not both")
-        if "gains" in obs:
-            gains_spec: Union[float, tuple] = _as_float(obs["gains"], "observer.gains")
-        elif "lambdas" in obs or "alphas" in obs:
-            if "lambdas" not in obs or "alphas" not in obs:
-                raise ConfigError("observer.lambdas", "lambdas and alphas must be given together")
-            lam = _as_floats(obs["lambdas"], "observer.lambdas")
-            alp = _as_floats(obs["alphas"], "observer.alphas")
-            if len(lam) != len(alp):
-                raise ConfigError("observer.alphas", f"length {len(alp)} does not match lambdas length {len(lam)}")
-            gains_spec = (lam, alp)
-        else:
-            raise ConfigError("observer.gains", "required key is missing (scalar gains or lambdas/alphas lists)")
-        epsilon = _as_float(obs.get("epsilon", DEFAULT_EPSILON), "observer.epsilon")
-        if epsilon <= 0.0:
-            raise ConfigError("observer.epsilon", f"must be > 0, got {epsilon}")
-        latching = obs.get("latching", False)
-        if not isinstance(latching, bool):
-            raise ConfigError("observer.latching", f"expected true/false, got {latching!r}")
-        init = obs.get("init")
-        if init is not None:
-            init = _as_floats(init, "observer.init")
-
-        grid = _section(raw, "grid", {"h", "t_end", "memory"})
-        h = _as_float(_require(grid, "h", "grid"), "grid.h")
-        if h <= 0.0:
-            raise ConfigError("grid.h", f"must be > 0, got {h}")
-        t_end = _as_float(_require(grid, "t_end", "grid"), "grid.t_end")
-        if t_end <= 0.0:
-            raise ConfigError("grid.t_end", f"must be > 0, got {t_end}")
-        n_steps = int(round(t_end / h))
-        if n_steps < 1:
-            raise ConfigError("grid.t_end", f"grid has no steps (t_end={t_end}, h={h})")
-        memory = grid.get("memory")
-        if memory is None:
-            memory = FULL_MEMORY if t_end <= SHORT_MEMORY_HORIZON else SHORT_MEMORY_DEFAULT
-        if memory != FULL_MEMORY:
-            if isinstance(memory, bool) or not isinstance(memory, int):
-                raise ConfigError("grid.memory", f"expected 'full' or an integer, got {memory!r}")
-            if memory < 1 or memory > n_steps:
-                raise ConfigError("grid.memory", f"must lie in [1, n_steps={n_steps}], got {memory}")
-
-        stride = raw.get("output_stride", 10)
-        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-            raise ConfigError("output_stride", f"expected a positive integer, got {stride!r}")
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
-
-        cfg = cls(
-            name=name,
-            plant_preset_name=preset,
-            observer_variant=variant,
-            h=h,
-            t_end=t_end,
-            memory=memory,
-            seed=seed,
-            plant_alpha=p_alpha,
-            plant_betas=p_betas,
-            plant_x0=p_x0,
-            fault=fault_sig,
-            noise_variance=variance,
-            observer_gains=gains_spec,
-            epsilon=epsilon,
-            latching=latching,
-            observer_init=init,
-            output_stride=stride,
-        )
-        plant_model = cfg.build_plant()
-        cfg.build_observer(variant, plant_model)
-        cfg.build_init_state(variant, plant_model.n)
-        return cfg
-
-    def to_dict(self) -> dict:
-        plant: dict = {"preset": self.plant_preset_name}
-        if self.plant_alpha is not None:
-            plant["alpha"] = self.plant_alpha
-        if self.plant_betas is not None:
-            plant["betas"] = list(self.plant_betas)
-        if self.plant_x0 is not None:
-            plant["x0"] = list(self.plant_x0)
-        out: dict = {"name": self.name, "plant": plant}
-        if self.fault is not None:
-            f: dict = {"kind": self.fault.kind, "amplitude": self.fault.amplitude,
-                       "frequency": self.fault.frequency, "onset": self.fault.onset}
-            if self.fault.samples is not None:
-                f["samples"] = list(self.fault.samples)
-                f["sample_dt"] = self.fault.sample_dt
-            out["fault"] = f
-        if self.noise_variance > 0.0:
-            out["noise"] = {"variance": self.noise_variance}
-        obs: dict = {"variant": self.observer_variant}
-        if isinstance(self.observer_gains, tuple):
-            obs["lambdas"] = list(self.observer_gains[0])
-            obs["alphas"] = list(self.observer_gains[1])
-        else:
-            obs["gains"] = self.observer_gains
-        obs["epsilon"] = self.epsilon
-        obs["latching"] = self.latching
-        if self.observer_init is not None:
-            obs["init"] = list(self.observer_init)
-        out["observer"] = obs
-        out["grid"] = {"h": self.h, "t_end": self.t_end, "memory": self.memory}
-        out["output_stride"] = self.output_stride
-        out["seed"] = self.seed
-        return out
-
-    # -- builders ----------------------------------------------------------
-
-    def build_grid(self) -> SimGrid:
-        return SimGrid(h=self.h, t_end=self.t_end, memory_len=self.memory)
-
-    def build_plant(self) -> PlantModel:
-        try:
-            return plant_preset(
-                self.plant_preset_name,
-                alpha=self.plant_alpha,
-                betas=self.plant_betas,
-                x0=self.plant_x0,
-            )
-        except ValueError as exc:
-            raise ConfigError("plant", str(exc)) from None
-
-    def build_noise(self) -> Optional[Callable[[float], float]]:
-        """The seeded noise as a function of t on this config's grid."""
-        if self.noise_variance <= 0.0:
-            return None
-        return noise_signal(NoiseSpec(variance=self.noise_variance, seed=self.seed),
-                            self.build_grid())
-
-    def build_gains(self, variant: str, n: int) -> tuple[tuple, tuple]:
-        """The (lambdas, alphas) a ``variant`` observer of an n-plant runs on:
-        the scalar broadcast, or the first pairs of the explicit lists."""
-        need = required_gain_count(variant, n)
-        if isinstance(self.observer_gains, tuple):
-            lam, alp = self.observer_gains
-            return lam[:need], alp[:need]
-        return (self.observer_gains,) * need, (self.observer_gains,) * need
-
-    def build_observer(self, variant: str, plant: PlantModel) -> ObserverDynamics:
-        """This config's ``variant`` observer on ``plant``; a gain it rejects
-        is a config error."""
-        lam, alp = self.build_gains(variant, plant.n)
-        try:
-            return ObserverDynamics(variant, plant, lam, alp, self.epsilon, self.latching)
-        except ValueError as exc:
-            raise ConfigError("observer.gains", str(exc)) from None
-
-    def build_init_state(self, variant: str, n: int) -> np.ndarray:
-        """The observer's initial flat state (zeros unless ``observer.init``)."""
-        dim = state_dim(variant, n)
-        if self.observer_init is None:
-            return np.zeros(dim)
-        flat = np.asarray(self.observer_init, dtype=float)
-        if flat.size != dim:
-            raise ConfigError(
-                "observer.init",
-                f"{variant} observer with n={n} needs {dim} entries, got {flat.size}",
-            )
-        return flat
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """sha256 of the canonical JSON form; stable under dict key reordering."""
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +138,8 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     grid = cfg.build_grid()
     plant = cfg.build_plant()
     n = plant.n
-    plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
+    fault = cfg.fault
+    plant_eval = assemble_field(plant, fault, cfg.build_noise()).eval
     observers, blocks = [], []
     x0 = [plant.x0]
     lo = n
@@ -488,7 +159,7 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
     # k * h is grid.times()'s float(k) * h, so this is the fault at t_k
     rows, h = grid.n_steps + 1, grid.h
-    f_true = np.fromiter((fault_value(cfg.fault, k * h) for k in range(rows)), float, rows)
+    f_true = np.fromiter((fault_value(fault, k * h) for k in range(rows)), float, rows)
     traces = [_enrich(raw, n, f_true, obs, raw.values[:, a:b])
               for obs, (_, a, b) in zip(observers, blocks)]
     del raw  # the march is not needed for the metrics

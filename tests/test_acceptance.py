@@ -37,13 +37,9 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from fracobs import bundled_config, selfcheck
+from fracobs.configs import ExperimentConfig
 from fracobs.fde import SimGrid, integrate, memory_truncation_error
-from fracobs.harness import (
-    ExperimentConfig,
-    compare_observers,
-    replay_observer,
-    run_experiment,
-)
+from fracobs.harness import compare_observers, replay_observer, run_experiment
 from fracobs.observers import (
     FstaParams,
     baseline_fault_readout,

@@ -13,14 +13,9 @@ import pytest
 import fracobs.fraccalc
 from fracobs import __version__, bundled_config, cli
 from fracobs.cli import main
+from fracobs.configs import ExperimentConfig, config_hash
 from fracobs.fde import Trace
-from fracobs.harness import (
-    ExperimentConfig,
-    compare_observers,
-    config_hash,
-    run_experiment,
-    trace_columns,
-)
+from fracobs.harness import compare_observers, run_experiment, trace_columns
 
 
 def cfg_dict(**over):
@@ -227,6 +222,14 @@ class TestRun:
         assert "diverged" in capsys.readouterr().err
         man = json.loads((tmp_path / "cliunit_manifest.json").read_text())
         assert man["diverged"] is True
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unwritable_out_exits_4(self, tmp_path, cfg_file, capsys, command):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main([command, str(cfg_file), "--out", str(blocker / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
 
     def test_outputs_byte_identical_across_runs(self, tmp_path, cfg_file):
         main(["run", str(cfg_file), "--out", str(tmp_path / "r1")])

@@ -44,6 +44,8 @@ class TestSimGrid:
         dict(h=1e-3, t_end=1.0, memory_len=0),
         dict(h=1e-3, t_end=1.0, memory_len=1001),
         dict(h=1e-3, t_end=1.0, memory_len="half"),
+        dict(h=1e-3, t_end=1.0, memory_len=2.7),
+        dict(h=1e-3, t_end=1.0, memory_len=True),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):

@@ -11,16 +11,9 @@ import pytest
 
 import fracobs.harness
 from fracobs.cli import main
+from fracobs.configs import ExperimentConfig, bundled_config, config_hash
 from fracobs.errors import ConfigError
-from fracobs.harness import (
-    ExperimentConfig,
-    compare_observers,
-    config_hash,
-    replay_observer,
-    run_experiment,
-    trace_columns,
-)
-from fracobs.configs import bundled_config
+from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
 from fracobs.fde import SimGrid, integrate
 from fracobs.observers import baseline_fault_readout, gates
 from fracobs.plants import NoiseSpec, assemble_field, fault_value, noise_signal, plant_preset
@@ -65,13 +58,19 @@ class TestConfigParsing:
         h2 = config_hash(ExperimentConfig.from_dict(gt_dict(**{"grid.t_end": 9.0})))
         assert h1 != h2
 
-    def test_memory_defaults_by_horizon(self):
+    def test_memory_defaults_by_horizon(self, tmp_path):
         short = gt_dict()
         del short["grid"]["memory"]
         assert ExperimentConfig.from_dict(short).memory == "full"
         long = gt_dict(**{"grid.t_end": 60.0})
         del long["grid"]["memory"]
         assert ExperimentConfig.from_dict(long).memory == 5000
+        # a long run on a coarse grid keeps every step it has
+        coarse = gt_dict(**{"grid.t_end": 60.0, "grid.h": 0.02})
+        del coarse["grid"]["memory"]
+        assert ExperimentConfig.from_dict(coarse).memory == 3000
+        assert main(["run", "example2", "--out", str(tmp_path), "--set", "grid.t_end=60",
+                     "--set", "grid.h=0.02", "--set", "grid.memory=null"]) == 0
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d.pop("observer"), "observer"),
@@ -79,12 +78,16 @@ class TestConfigParsing:
         (lambda d: d["grid"].__setitem__("h", 0.0), "grid.h"),
         (lambda d: d["grid"].__setitem__("t_end", -1.0), "grid.t_end"),
         (lambda d: d["grid"].__setitem__("dt", 1e-3), "grid"),
+        (lambda d: d["grid"].update(h=1, t_end=0.4), "grid.t_end: grid must contain at least one step"),
+        (lambda d: d["grid"].__setitem__("memory", 801), "grid.memory"),
         (lambda d: d["observer"].__setitem__("variant", "improved"), "observer.variant"),
         (lambda d: d["observer"].__setitem__("epsilon", 0.0), "observer.epsilon"),
         (lambda d: d["observer"].__setitem__("latching", "yes"), "observer.latching"),
         (lambda d: d["observer"].pop("gains"), "observer.gains"),
         (lambda d: d["observer"].__setitem__("lambdas", [1, 2, 3, 4]), "observer.gains"),
         (lambda d: d["fault"].__setitem__("kind", "sawtooth"), "fault.kind"),
+        # a fault of kind none is left out of the canonical form, but still checked
+        (lambda d: d["fault"].update(kind="none", onset=-1.0), "fault: fault onset must be >= 0"),
         (lambda d: d["noise"].__setitem__("variance", -1.0), "noise.variance"),
         (lambda d: d["plant"].__setitem__("preset", "lorenz"), "plant.preset"),
         (lambda d: d.__setitem__("output_stride", 0), "output_stride"),

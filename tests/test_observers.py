@@ -22,9 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracobs.configs import bundled_config
+from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.errors import SingularGainError
-from fracobs.harness import ExperimentConfig, compare_observers, trace_columns
+from fracobs.harness import compare_observers, trace_columns
 from fracobs.observers import (
     FstaParams,
     ObserverDynamics,

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracobs.configs import bundled_config
+from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.fde import SimGrid, integrate, memory_truncation_error
-from fracobs.harness import ExperimentConfig
 from fracobs.plants import (
     FaultSignal,
     NoiseSpec,
