@@ -4,36 +4,35 @@ Both observers rebuild the state of
 
     D^alpha x_i = x_{i+1},  D^alpha x_n = a(x) + f(t),   y = x_1
 
-from the scalar output alone, as a chain of second-order sliding-mode
-pairs. Pair i produces the estimate xhat_i of x_i and the auxiliary
-signal xtilde_{i+1}, which serves as the measured input of pair i+1.
-Errors are e_1 = y - xhat_1 and e_i = xtilde_i - xhat_i; pair i+1 is
-enabled by the gate E_i = 1 iff |e_j| <= eps for every j <= i, so the
-stages engage strictly in cascade order.
+from the scalar output alone, as one chain of P second-order sliding-mode
+pairs (P = n baseline, n + 1 proposed). Each pair holds an estimate and a
+second variable; the measured input of pair j is the second variable of
+pair j-1 (y for the first pair), and its error e_j is that input minus
+its estimate. Pair j+1 is enabled by the gate E_j = 1 iff |e_i| <= eps
+for every i <= j, so the stages engage strictly in chain order. The flat
+state is the pairs in order:
 
-``baseline`` terminates the cascade with a pair (xhat_n, theta_tilde)
-where theta_tilde estimates the whole unknown drive a(x) + f; the fault
-is then read out algebraically as fhat = b(xt)^-1 (theta_tilde - a(xt)).
+    [xhat_1, xtilde_2, ..., xhat_{n-1}, xtilde_n, xhat_n, f_tilde, f_hat, theta_tilde]
+    [xhat_1, xtilde_2, ..., xhat_{n-1}, xtilde_n, xhat_n, theta_tilde]
 
-``proposed`` instead injects the known drift into the n-th pair,
-a(y, xtilde_2..xtilde_n) + f_tilde, so its second variable f_tilde tracks
-the fault directly, and appends one more super-twisting pair
-(f_hat, theta_tilde) on the fault error e_f = f_tilde - f_hat. That extra
-stage is what filters the switching chatter out of the delivered fault
-estimate.
+(proposed, baseline), so e_1 = y - xhat_1 and e_i = xtilde_i - xhat_i
+for i <= n, and the last pair's second variable is theta_tilde.
 
-State layout used throughout (dimension 2n+2 proposed, 2n baseline):
+``baseline`` ends the chain at pair n, whose theta_tilde estimates the
+whole unknown drive a(x) + f; the fault is then read out algebraically
+as fhat = b(xt)^-1 (theta_tilde - a(xt)).
 
-    [xhat_1, xtilde_2, xhat_2, xtilde_3, ..., xhat_{n-1}, xtilde_n,
-     xhat_n, f_tilde, f_hat, theta_tilde]        (proposed)
-    [ ...same prefix..., xhat_n, theta_tilde]    (baseline)
+``proposed`` instead injects the known drift into pair n, whose second
+variable enters as a(y, xtilde_2..xtilde_n) + f_tilde (the chain's one
+special case), so f_tilde tracks the fault directly, and pair n+1
+(f_hat, theta_tilde) runs on the fault error e_f = f_tilde - f_hat. That
+extra stage is what filters the switching chatter out of the delivered
+fault estimate.
 
-so the first 2(n-1) derivative components of the two variants coincide
-by construction. ``ObserverDynamics`` alone reads that layout:
-``rhs_flat`` runs the shared prefix and then the variant's tail on Python
-floats, every pair evaluating the one formula in ``_pair`` (as does
-``fsta_rhs``), and ``channels`` writes a recorded block's named columns
-into a trace.
+``ObserverDynamics`` alone reads that layout: ``rhs_flat`` runs the
+chain on Python floats, every pair evaluating the one formula in
+``_pair`` (as does ``fsta_rhs``), and ``channels`` writes a recorded
+block's named columns into a trace.
 """
 
 from __future__ import annotations
@@ -158,19 +157,15 @@ def baseline_fault_readout(x_tilde_full: np.ndarray, theta_tilde, plant: PlantMo
 # flat-vector adapters used by the simulation harness
 
 def state_dim(variant: str, n: int) -> int:
-    return 2 * n + 2 if variant == "proposed" else 2 * n
+    return 2 * required_gain_count(variant, n)
 
 
 def state_labels(variant: str, n: int) -> list[str]:
-    labels = []
-    for i in range(1, n):
-        labels += [f"xhat{i}", f"xtilde{i+1}"]
-    labels.append(f"xhat{n}")
-    if variant == "proposed":
-        labels += ["f_tilde", "f_hat", "theta_tilde"]
-    else:
-        labels.append("theta_tilde")
-    return labels
+    """The flat state's labels: each pair's estimate, then its second variable."""
+    p = required_gain_count(variant, n)
+    estimates = [*(f"xhat{i}" for i in range(1, n + 1)), "f_hat"][:p]
+    seconds = [*(f"xtilde{i}" for i in range(2, n + 1)), "f_tilde"][:p - 1] + ["theta_tilde"]
+    return [label for pair in zip(estimates, seconds) for label in pair]
 
 
 class ObserverDynamics:
@@ -179,7 +174,7 @@ class ObserverDynamics:
     ``lambdas`` and ``alphas`` hold one strictly positive gain per pair
     (n baseline, n+1 proposed); ``epsilon`` > 0 is the gate tolerance.
     ``rhs_flat`` computes the errors and gates from the current flat state
-    and runs the cascade; ``channels`` writes a whole recorded block back
+    and runs the chain; ``channels`` writes a whole recorded block back
     as the named columns ``channel_labels``. In latching mode a gate stays
     open once it has opened (the count of open gates never falls), which
     makes an instance single-use per run unless reset().
@@ -211,13 +206,15 @@ class ObserverDynamics:
         self.n = plant.n
         self.latching = bool(latching)
         self.gate_count = need - 1  # every pair after the first has a gate
-        self.dim = state_dim(variant, plant.n)
+        self.dim = 2 * need
         self.labels = state_labels(variant, plant.n)
+        self.error_labels = [*(f"e{i}" for i in range(1, plant.n + 1)), "e_f"][:need]
         self.channel_labels = [
-            *self.labels, *(f"e{i}" for i in range(1, plant.n + 1)),
-            "e_f" if variant == "proposed" else "f_hat",
-            *(f"E{i}" for i in range(1, self.gate_count + 1)),
+            *self.labels, *self.error_labels, *(["f_hat"] if variant == "baseline" else []),
+            *(f"E{i}" for i in range(1, need)),
         ]
+        # the pair whose second variable gets the known drift added (proposed)
+        self._drift_pair = plant.n - 1 if need > plant.n else None
         self._lam, self._alp, self._eps = lam, alp, epsilon
         self.reset()
 
@@ -228,18 +225,18 @@ class ObserverDynamics:
         """Derivative of the flat state (layout in the module docstring).
 
         ``flat`` is a sequence of floats: a list, or an array row. Pair
-        i+1 runs while gate E_i is open; the first pair always runs.
+        j+1 runs while gate E_j is open; the first pair always runs.
         """
-        n = self.n
         if len(flat) != self.dim:
             raise ValueError(
                 f"flat state has {len(flat)} entries, {self.variant} observer "
-                f"with n={n} needs {self.dim}"
+                f"with n={self.n} needs {self.dim}"
             )
         lam, alp, eps = self._lam, self._alp, self._eps
 
-        # e_1 = y - xhat_1, e_i = xtilde_i - xhat_i; open_ = gates open now
-        errors = [y - flat[0], *map(sub, flat[1:2 * n - 2:2], flat[2:2 * n - 1:2])]
+        # each pair's measured input (y, then the previous pair's second
+        # variable) minus its estimate; open_ = gates open now
+        errors = [y - flat[0], *map(sub, flat[1:-2:2], flat[2::2])]
         open_ = 0
         for e in errors[: self.gate_count]:
             if not abs(e) <= eps:
@@ -251,50 +248,35 @@ class ObserverDynamics:
             else:
                 open_ = self._latched
 
-        # shared prefix: pairs (xhat_i, xtilde_{i+1}), i = 1..n-1
-        out = list(_pair(errors[0], flat[1], lam[0], alp[0]))
-        for i in range(1, n - 1):
-            out += _pair(errors[i], flat[2 * i + 1], lam[i], alp[i]) if open_ >= i else _HELD
-        # n-th pair, enabled by E_{n-1}
-        if open_ < n - 1:
-            out += _HELD
-        elif self.variant == "baseline":
-            # second variable theta_tilde estimates the whole drive
-            out += _pair(errors[n - 1], flat[2 * n - 1], lam[n - 1], alp[n - 1])
-        else:
-            # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
-            v = self.plant.drift(y, *flat[1:2 * n - 2:2]) + flat[2 * n - 1]
-            out += _pair(errors[n - 1], v, lam[n - 1], alp[n - 1])
-        if self.variant == "proposed":
-            # fault pair (f_hat, theta_tilde) on e_f = f_tilde - f_hat, enabled by E_n
-            if open_ >= n:
-                out += _pair(flat[2 * n - 1] - flat[2 * n], flat[2 * n + 1], lam[n], alp[n])
-            else:
-                out += _HELD
+        out = []
+        for j in range(open_ + 1):
+            v = flat[2 * j + 1]
+            if j == self._drift_pair:
+                # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
+                v = self.plant.drift(y, *flat[1:2 * j:2]) + v
+            out += _pair(errors[j], v, lam[j], alp[j])
+        out += _HELD * (self.gate_count - open_)
         return out
 
     def channels(self, y: np.ndarray, block: np.ndarray, out: dict) -> None:
         """Write the named columns of a recorded (rows, dim) block driven
         by the output column y into ``out``, which maps each label of
         ``channel_labels`` to a writable column of that many rows: the
-        block's own (``self.labels``), the errors e1..en, ``e_f``
-        (proposed) or the ``f_hat`` readout (baseline), and the gates
+        block's own (``self.labels``), every pair's error (e1..en, then
+        ``e_f`` proposed), the ``f_hat`` readout (baseline), and the gates
         E1..Em as 0.0/1.0 (the rule of ``gates``, column by column),
         latched down the rows if latching.
         """
-        n = self.n
-        for label, col in zip(self.labels, block.T):
+        cols = block.T
+        for label, col in zip(self.labels, cols):
             out[label][:] = col
-        xtilde = [out[f"xtilde{i}"] for i in range(2, n + 1)]
-        np.subtract(y, out["xhat1"], out=out["e1"])
-        for i, xt in enumerate(xtilde, 2):
-            np.subtract(xt, out[f"xhat{i}"], out=out[f"e{i}"])
+        measured = [y, *cols[1:-2:2]]
+        for label, m, estimate in zip(self.error_labels, measured, cols[::2]):
+            np.subtract(m, estimate, out=out[label])
         with np.errstate(invalid="ignore"):
-            if self.variant == "proposed":
-                np.subtract(out["f_tilde"], out["f_hat"], out=out["e_f"])
-            else:
+            if self.variant == "baseline":
                 out["f_hat"][:] = baseline_fault_readout(
-                    np.column_stack([y, *xtilde]), out["theta_tilde"], self.plant
+                    np.column_stack(measured), out["theta_tilde"], self.plant
                 )
             open_ = np.ones(len(y), dtype=bool)
             for i in range(1, self.gate_count + 1):
