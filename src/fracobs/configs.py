@@ -104,8 +104,9 @@ class ExperimentConfig:
     it with ``from_dict``, which holds every default.
 
     The canonical form omits the noise at variance 0 and the fault of kind
-    "none", writes ``fault.samples`` and ``fault.sample_dt`` only when
-    samples are given, and writes every other key, defaults included.
+    "none", writes ``fault.samples`` and ``fault.sample_dt`` only for the
+    custom fault (the one kind that takes them), and writes every other
+    key, defaults included.
     ``observer.gains`` is a scalar broadcast to the gain count a variant
     needs, or ``observer.lambdas`` and ``alphas`` list the pairs.
     ``grid.memory`` is "full" or an integer; when omitted it resolves to
@@ -172,9 +173,7 @@ class ExperimentConfig:
             if samples is not None:
                 f["samples"] = _as_floats(samples, "fault.samples")
             if sample_dt is not None:
-                sample_dt = _as_float(sample_dt, "fault.sample_dt")
-            if samples is not None:  # written with the samples, even when null
-                f["sample_dt"] = sample_dt
+                f["sample_dt"] = _as_float(sample_dt, "fault.sample_dt")
             _build("fault", FaultSignal, **f)
             if kind != "none":
                 canon["fault"] = f

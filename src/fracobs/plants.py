@@ -117,6 +117,8 @@ class FaultSignal:
             if not (float(self.sample_dt) > 0.0):
                 raise ValueError("custom fault sample_dt must be > 0")
             object.__setattr__(self, "samples", tuple(float(v) for v in arr))
+        elif self.samples is not None or self.sample_dt is not None:
+            raise ValueError(f"a {self.kind} fault takes no samples or sample_dt")
 
 
 def fault_value(fault: Optional[FaultSignal], t: float) -> float:
@@ -185,14 +187,22 @@ def _unit_gain(*x) -> float:
 
 def _chain_plant(name: str, power: int, alpha: float, betas: Sequence[float],
                  x0: Sequence[float]) -> PlantModel:
-    """The three-state chain with drift -b1*x1 - b2*x2 - b3*x3 + b4*x1**power."""
+    """The three-state chain with drift -b1*x1 - b2*x2 - b3*x3 + b4*x1**power.
+
+    The power (2 or 3) is a left-to-right product, so floats and arrays
+    run the same IEEE operations (float ``**`` calls the C library's pow).
+    """
     b = tuple(float(v) for v in betas)
     if len(b) != 4:
         raise ValueError(f"{name} needs 4 betas, got {len(b)}")
     b1, b2, b3, b4 = b
 
-    def drift(x1, x2, x3):
-        return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * x1 ** power
+    if power == 2:
+        def drift(x1, x2, x3):
+            return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * (x1 * x1)
+    else:
+        def drift(x1, x2, x3):
+            return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * (x1 * x1 * x1)
 
     return PlantModel(
         n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),

@@ -121,6 +121,10 @@ class TestConfigParsing:
         (lambda d: d["fault"].__setitem__("onset", None), "fault.onset"),
         (lambda d: d["fault"].update(kind="custom", samples=1.0, sample_dt=0.1), "fault.samples"),
         (lambda d: d["fault"].update(kind="custom", samples=[1.0], sample_dt=[0.1]), "fault.sample_dt"),
+        # only a custom fault reads samples and sample_dt
+        (lambda d: d["fault"].update(samples=[1.0, 2.0]), "fault: a sine fault takes no samples"),
+        (lambda d: d["fault"].update(sample_dt=0.1), "fault: a sine fault takes no samples"),
+        (lambda d: d["fault"].update(kind="none", samples=[1.0], sample_dt=0.1), "fault: a none fault"),
         # numbers must be finite (JSON readers accept NaN, Infinity and 1e400)
         (lambda d: d["grid"].__setitem__("h", float("nan")), "grid.h: expected a finite number, got nan"),
         (lambda d: d["grid"].__setitem__("t_end", float("inf")), "grid.t_end: expected a finite number, got inf"),

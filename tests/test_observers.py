@@ -310,6 +310,31 @@ class TestObserverDynamics:
             expect += fsta_rhs(-e, v, FstaParams(lam=lam[i], alpha_gain=alp[i]))
         assert dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT) == expect
 
+        # with k gates open, pairs 1..k+1 run and the rest give (0.0, 0.0);
+        # e_j is the previous pair's second variable (y for the first pair)
+        # minus pair j's estimate
+        rng = np.random.default_rng(25)
+        for variant in ("proposed", "baseline"):
+            dyn = dynamics(variant, epsilon=0.1)
+            pairs = dyn.dim // 2
+            lam, alp = dyn._lam, dyn._alp
+            for open_ in range(pairs):
+                sign = rng.choice([-1.0, 1.0], pairs)
+                errors = sign * np.r_[rng.uniform(0.0, 0.09, open_), rng.uniform(0.2, 1.0, pairs - open_)]
+                seconds = rng.uniform(-3.0, 3.0, pairs).tolist()
+                measured = [Y, *seconds[:-1]]
+                flat = [v for m, e, s in zip(measured, errors.tolist(), seconds) for v in (m - e, s)]
+                expect = []
+                for j, (m, s) in enumerate(zip(measured, seconds)):
+                    if j > open_:
+                        expect += [0.0, 0.0]
+                        continue
+                    if variant == "proposed" and j == 2:  # the drift pair
+                        s = float(arneodo().a(np.array([Y, flat[1], flat[3]]))) + s
+                    expect += fsta_rhs(-(m - flat[2 * j]), s, FstaParams(lam=lam[j], alpha_gain=alp[j]))
+                assert dyn.rhs_flat(Y, flat) == expect
+                assert running_pairs(expect) == [j <= open_ for j in range(pairs)]
+
     def test_latching_keeps_gates_open(self):
         small = [-1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0]  # all |e| = 1e-4
         big = [-1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0]  # all |e| = 1
@@ -476,10 +501,11 @@ class TestCascadeMatchesObjectCascade:
     """rhs_flat against the old object-based cascade, written out above.
 
     Every component is bit-identical except the proposed variant's xhat_n
-    on the Arneodo plant: its drift cubes y with Python's float power,
+    on the Arneodo plant: its drift cubes y as the product y * y * y,
     where the object cascade used numpy's array power, and the two differ
     by an ulp in a few percent of arguments. There the bound is 1e-12
-    relative to the size of the summed terms.
+    relative to the size of the summed terms. The square is exact: numpy's
+    array power squares as a product.
     """
 
     @given(
@@ -493,6 +519,9 @@ class TestCascadeMatchesObjectCascade:
              steps=[(_EPS, [0.0, _EPS, 0.0, -_EPS, 0.0, _EPS, 0.0, 0.5])])
     @example(variant="baseline", plant=genesio_tesi(), latching=True, gains=[2.0] * 8,
              steps=[(0.0, [0.0] * 8), (-_EPS, [0.0, _EPS, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5])])
+    # Python's float power squares this y an ulp away from y * y
+    @example(variant="proposed", plant=genesio_tesi(), latching=False, gains=[1.0] * 8,
+             steps=[(-2.9999389648437496, [-2.9999389648437496] + [0.0] * 7)])
     @settings(max_examples=300, deadline=None)
     def test_flat_matches_object_cascade(self, variant, plant, latching, gains, steps):
         need = required_gain_count(variant, 3)

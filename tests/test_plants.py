@@ -65,10 +65,11 @@ class TestPresets:
                        x0=np.zeros(2), params={})
 
     def test_drift_over_components_matches_rows(self):
-        # the per-step float expression and the column readout are one drift
+        # the per-step float expression and the column readout are one drift,
+        # bit for bit: the power is a product on floats and arrays alike
+        rows = np.random.default_rng(25).uniform(-3.0, 3.0, size=(10_000, 3))
         for p in (arneodo(), genesio_tesi()):
-            rows = np.array([[1.0, 2.0, 3.0], [-0.7, 0.3, 2.5]])
-            assert p.a(rows) == pytest.approx([p.drift(*r) for r in rows.tolist()], rel=1e-15)
+            assert p.a(rows).tolist() == [p.drift(*r) for r in rows.tolist()]
 
 
 class TestFaultSignal:
@@ -142,6 +143,10 @@ class TestFaultSignal:
         dict(kind="custom"),
         dict(kind="custom", samples=(), sample_dt=0.1),
         dict(kind="custom", samples=(1.0,), sample_dt=0.0),
+        # only a custom fault reads samples and sample_dt
+        dict(kind="sine", samples=(1.0, 2.0)),
+        dict(kind="step", sample_dt=0.1),
+        dict(kind="none", samples=(1.0,), sample_dt=0.1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
