@@ -213,8 +213,8 @@ class ObserverDynamics:
             *self.labels, *self.error_labels, *(["f_hat"] if variant == "baseline" else []),
             *(f"E{i}" for i in range(1, need)),
         ]
-        # the pair whose second variable gets the known drift added (proposed)
-        self._drift_pair = plant.n - 1 if need > plant.n else None
+        # the proposed n-th pair's second variable gets the known drift added
+        self._drift_pair = plant.n - 1 if variant == "proposed" else None
         self._lam, self._alp, self._eps = lam, alp, epsilon
         self.reset()
 
@@ -271,9 +271,9 @@ class ObserverDynamics:
         for label, col in zip(self.labels, cols):
             out[label][:] = col
         measured = [y, *cols[1:-2:2]]
-        for label, m, estimate in zip(self.error_labels, measured, cols[::2]):
-            np.subtract(m, estimate, out=out[label])
         with np.errstate(invalid="ignore"):
+            for label, m, estimate in zip(self.error_labels, measured, cols[::2]):
+                np.subtract(m, estimate, out=out[label])
             if self.variant == "baseline":
                 out["f_hat"][:] = baseline_fault_readout(
                     np.column_stack(measured), out["theta_tilde"], self.plant
