@@ -33,16 +33,21 @@ term below the top few levels still makes one transform pair over all
 columns. Each column's transform is independent of the others, so the
 grouping changes no bit of the result. Besides the z array, its weights
 (one more column under full memory) and that scratch, a march holds
-only the current leaf as Python lists.
+only the current leaf's far-field rows as Python lists.
 
-The far-field part of step k's sum accumulates in row k of the z array
-before that step is taken. A leaf step makes one numpy call chain (the
-near-field dot product), stores z_k, and does the rest on Python floats
-with the operations and order of the array form,
-z_k = h^alpha * phi - (far + near) and x_k = x0 + z_k; so the field
-receives x_{k-1} as a list of floats. The z array is the march's only
-(n+1) x dim array: once the march ends it is shifted by x0 in place and
-becomes the trace.
+The leaf is generated per march from one template (``_leaf_source``)
+that unrolls the step into local floats with the operations and order
+of the array form: z_i = h^alpha * p_i - (f_i + q_i), or
+h^alpha * p_i - f_i at a leaf's first step, then Z[k] = (z_0, ...) and
+s_i = x0_i + z_i. f_i is row k of the z array, where the far field
+accumulates before step k; q_i is the near field, the step's one numpy
+call. The field supplies the statements that bind p_0.. from s_0.. and
+t: a plain ``VectorField``'s call its ``eval`` on [s_0, ...], and one
+made by ``VectorField.from_statements`` (a harness run) brings its own,
+which its ``eval`` also runs. The code is compiled under the file name
+``<fracobs step: name>``, so profiles and tracebacks name the field.
+The z array is the march's only (n+1) x dim array: once the march ends
+it is shifted by x0 in place and becomes the trace.
 
 The FFT changes the summation order, not the sum. Against the per-step
 sum, trajectories of damped linear fields agree to about 1e-14 relative
@@ -131,6 +136,15 @@ class VectorField:
 
     dim: int
     eval: Callable[[float, list[float]], Sequence[float]]
+    # (name, statements, namespace) of a field made by from_statements
+    _step: Optional[tuple] = None
+
+    @classmethod
+    def from_statements(cls, dim: int, name: str, lines: Sequence[str], ns: dict) -> "VectorField":
+        """The field whose step is ``lines``, statements that read s0.. and t
+        and bind p0.. (``ns`` their globals): a march inlines, eval runs them."""
+        evaluate = _step_function(name, dim, lines, ns, "t", "x")
+        return cls(dim, evaluate, (name, tuple(lines), ns))
 
 
 @dataclass
@@ -210,35 +224,9 @@ def integrate(
     # far-field part of step k's history sum. It is the march's only
     # (n+1) x dim array: the trace is Z shifted by x0 in place.
     Z = np.zeros((n + 1, dim))
-    x0l = x0.tolist()
-    evaluate = field.eval
-
-    def leaf(lo: int, hi: int) -> int:
-        # near field: sources in [lo, k) on top of the accumulated far
-        # field. Python floats, same IEEE operations in the same order as
-        # the array form z = ha * phi - (far + near), x = x0 + z. At lo = 1
-        # x is x0 itself, which keeps a -0.0 in x0 as the field's input.
-        far = Z[lo:hi].tolist()
-        x = x0l if lo == 1 else [u + v for u, v in zip(x0l, Z[lo - 1].tolist())]
-        for k in range(lo, hi):
-            phi = evaluate(k * h, x)
-            if k == 1 and len(phi) != dim:
-                raise ValueError(f"field returned {len(phi)} values, field.dim is {dim}")
-            m = k - lo if k - lo < mem else mem
-            if m:
-                near = np.dot(wrev[near_len - m:], Z[k - m:k]).tolist()
-                z = [ha * p - (f + q) for p, f, q in zip(phi, far[k - lo], near)]
-            else:
-                z = [ha * p - f for p, f in zip(phi, far[k - lo])]
-            Z[k] = z
-            x = [u + v for u, v in zip(x0l, z)]
-            # the sum of |x_i| is at least max |x_i| and NaN or inf fails
-            # it, so the exact per-component test runs only when it fails
-            if not (sum(map(abs, x)) <= DIVERGENCE_BOUND) and not all(
-                abs(v) <= DIVERGENCE_BOUND for v in x
-            ):
-                return k
-        return 0
+    name, lines, glb = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval})
+    make_leaf = _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
+    leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot)
 
     def far_field(lo: int, mid: int, hi: int) -> None:
         # sources [s0, mid) into targets [mid, mid + nt): lags 1..ns+nt-1,
@@ -269,6 +257,70 @@ def integrate(
         diverged=bool(bad),
         diverged_at=bad * h if bad else None,
     )
+
+
+def _call_step(dim: int) -> list[str]:
+    """A plain field's step: its eval on the state as a list, the first
+    result's length checked."""
+    return [f"p = evaluate(t, [{_names('s', dim)}])", f"if k == 1 and len(p) != {dim}:",
+            f"    raise ValueError('field returned %d values, field.dim is {dim}' % len(p))",
+            f"{_names('p', dim)}, = p"]
+
+
+def _leaf_source(dim: int, step: Sequence[str]) -> str:
+    """make_leaf(...) -> leaf(lo, hi), which takes steps lo..hi-1 with
+    ``step`` as the field and returns the first diverged step, or 0. At
+    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0."""
+    def each(fmt: str, pad: int) -> str:
+        return "\n".join(" " * pad + fmt.format(i=i) for i in range(dim))
+
+    body = "\n".join(" " * 12 + line for line in step)
+    s, z = _names("s", dim), _names("z", dim)
+    return f"""\
+def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot):
+    {_names("c", dim)}, = x0l
+    def leaf(lo, hi):
+        far = Z[lo:hi].tolist()
+        if lo == 1:
+            {s}, = x0l
+        else:
+            {z}, = Z[lo - 1].tolist()
+{each("s{i} = c{i} + z{i}", 12)}
+        for k in range(lo, hi):
+            t = k * h
+{body}
+            {_names("f", dim)}, = far[k - lo]
+            m = k - lo if k - lo < mem else mem
+            if m:
+                {_names("q", dim)}, = dot(wrev[near_len - m:], Z[k - m:k]).tolist()
+{each("z{i} = ha * p{i} - (f{i} + q{i})", 16)}
+            else:
+{each("z{i} = ha * p{i} - f{i}", 16)}
+            Z[k] = {z},
+{each("s{i} = c{i} + z{i}", 12)}
+            if not ({" and ".join(f"abs(s{i}) <= {DIVERGENCE_BOUND!r}" for i in range(dim))}):
+                return k
+        return 0
+    return leaf
+"""
+
+
+def _step_function(name: str, dim: int, lines: Sequence[str], ns: dict, first: str, state: str):
+    """def step(first, state) -> [p0, ...] running ``lines`` on s0.. = state."""
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def step({first}, {state}):\n    {_names('s', dim)}, = {state}\n{body}    return [{_names('p', dim)}]\n"
+    return _compiled(source, name, ns, "step")
+
+
+def _compiled(source: str, name: str, ns: dict, fn: str):
+    """The function ``fn`` that ``source`` defines, run on a copy of ``ns``."""
+    scope = dict(ns)
+    exec(compile(source, f"<fracobs step: {name}>", "exec"), scope)
+    return scope[fn]
+
+
+def _names(prefix: str, dim: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(dim))
 
 
 def _group_size(dim: int, n: int, nfft: int) -> int:

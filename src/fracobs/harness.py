@@ -2,10 +2,10 @@
 fair two-observer comparison.
 
 ``run_experiment`` and ``compare_observers`` share one co-simulation,
-``_cosimulate``. It builds one augmented vector field (the plant's
-channels, then one observer block per distinct variant) and integrates
-it once on a shared grid. The
-only plant signal entering an observer block is the measured output x1,
+``_cosimulate``. It writes one augmented vector field as statements
+(``_run_field``: the plant's channels, then one observer block per
+distinct variant), which ``fde.integrate`` inlines into its leaf, and
+integrates it once on a shared grid. The only plant signal entering an observer block is the measured output x1,
 taken from the previous grid point exactly as the explicit stepper sees
 every other state, so both observers of a comparison read the same
 output stream (same noise draw) in the same march. The comparison then
@@ -13,7 +13,9 @@ re-evaluates their fault-estimate metrics on a common time window before
 declaring a winner.
 
 ``replay_observer`` drives one observer from a recorded output stream
-alone; it is the reference the co-simulation is checked against.
+alone, through the same statements, so it is no independent reference:
+the tests check both against the per-pair form (the plant field of
+``assemble_field`` plus each observer's ``_pair`` calls).
 
 ``trace_columns`` is the one channel schema: the CSV header, and in the
 same order the labels of every enriched trace, which holds the plant
@@ -39,7 +41,7 @@ from .metrics import (
     sup_error,
 )
 from .observers import ObserverDynamics
-from .plants import PlantModel, assemble_field, fault_value
+from .plants import PlantModel, fault_value
 
 __all__ = [
     "run_experiment",
@@ -126,6 +128,36 @@ def _compute_metrics(
 # ---------------------------------------------------------------------------
 # experiment drivers
 
+def _run_field(cfg: ExperimentConfig, plant: PlantModel, observers,
+               y_rec: Optional[np.ndarray] = None) -> VectorField:
+    """A run's field as generated statements: the plant's chain, p_i =
+    s_{i+1} and the last component in ``assemble_field``'s form, with
+    y = s0 (co-simulation); or, given ``y_rec`` (a replay), y is the
+    recorded sample the step into t = k * h consumes, y_rec[k - 1]. Then
+    each observer's block, which reads nothing but y."""
+    ns: dict = {}
+    if y_rec is None:
+        fault, noise = cfg.fault, cfg.build_noise()
+        x = ", ".join(f"s{i}" for i in range(plant.n))
+        drive = f"drift({x})"
+        if fault is not None and fault.kind != "none":
+            drive += f" + gain({x}) * fault_value(fault, t)"
+        if noise is not None:
+            drive += " + noise(t)"
+        ns.update(drift=plant.drift, gain=plant.gain, fault_value=fault_value, fault=fault, noise=noise)
+        lines = [*(f"p{i} = s{i + 1}" for i in range(plant.n - 1)), f"p{plant.n - 1} = {drive}"]
+        y, lo, kind = "s0", plant.n, ""
+    else:
+        ns.update(y_rec=y_rec.tolist(), y_h=cfg.build_grid().h)
+        lines = ["i = round(t / y_h) - 1", "y = y_rec[i if i > 0 else 0]"]
+        y, lo, kind = "y", 0, "replay "
+    for obs in observers:
+        lines += obs.statements(y, lo, ns)
+        lo += obs.dim
+    name = f"{cfg.name}/{kind}{'+'.join(obs.variant for obs in observers)}"
+    return VectorField.from_statements(lo, name, lines, ns)
+
+
 def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsReport]]:
     """Integrate the plant and one observer block per variant in one march.
 
@@ -138,30 +170,16 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     grid = cfg.build_grid()
     plant = cfg.build_plant()
     n = plant.n
-    fault = cfg.fault
-    plant_eval = assemble_field(plant, fault, cfg.build_noise()).eval
-    observers, blocks = [], []
-    x0 = [plant.x0]
-    lo = n
-    for variant in variants:
-        obs = cfg.build_observer(variant, plant)
-        x0.append(cfg.build_init_state(variant, n))
-        observers.append(obs)
-        blocks.append((obs.rhs_flat, lo, lo + obs.dim))
-        lo += obs.dim
-
-    def aug_eval(t, s):
-        out = plant_eval(t, s[:n])
-        for rhs, a, b in blocks:
-            out += rhs(s[0], s[a:b])
-        return out
-
-    raw = integrate(VectorField(dim=lo, eval=aug_eval), plant.alpha, grid, np.concatenate(x0))
+    observers = [cfg.build_observer(variant, plant) for variant in variants]
+    x0 = np.concatenate([plant.x0, *(cfg.build_init_state(variant, n) for variant in variants)])
+    raw = integrate(_run_field(cfg, plant, observers), plant.alpha, grid, x0)
     # k * h is grid.times()'s float(k) * h, so this is the fault at t_k
     rows, h = grid.n_steps + 1, grid.h
+    fault = cfg.fault
     f_true = np.fromiter((fault_value(fault, k * h) for k in range(rows)), float, rows)
+    ends = np.cumsum([n, *(obs.dim for obs in observers)])
     traces = [_enrich(raw, n, f_true, obs, raw.values[:, a:b])
-              for obs, (_, a, b) in zip(observers, blocks)]
+              for obs, a, b in zip(observers, ends, ends[1:])]
     del raw  # the march is not needed for the metrics
     return [(trace, _compute_metrics(trace, plant, obs.variant, cfg.epsilon))
             for trace, obs in zip(traces, observers)]
@@ -196,16 +214,7 @@ def replay_observer(
         raise ValueError(
             f"recorded output has shape {y_rec.shape}, grid wants ({grid.n_steps + 1},)"
         )
-    h = grid.h
-    obs_rhs = obs.rhs_flat
-    y_list = y_rec.tolist()
-
-    def evaluate(t, s):
-        k = int(round(t / h)) - 1
-        return obs_rhs(y_list[k if k > 0 else 0], s)
-
-    fld = VectorField(dim=obs.dim, eval=evaluate)
-    return integrate(fld, plant.alpha, grid, init, labels=obs.labels)
+    return integrate(_run_field(cfg, plant, [obs], y_rec), plant.alpha, grid, init, labels=obs.labels)
 
 
 @dataclass

@@ -29,21 +29,22 @@ special case), so f_tilde tracks the fault directly, and pair n+1
 extra stage is what filters the switching chatter out of the delivered
 fault estimate.
 
-``ObserverDynamics`` alone reads that layout: ``rhs_flat`` runs the
-chain on Python floats, every pair evaluating the one formula in
-``_pair`` (as does ``fsta_rhs``), and ``channels`` writes a recorded
-block's named columns into a trace.
+``ObserverDynamics`` alone reads that layout. ``statements`` writes the
+chain as Python statements, every pair in the one formula of ``_pair``
+(which ``fsta_rhs`` calls); a run inlines them into its march with a
+latch of its own, and ``rhs_flat`` is compiled from them. ``channels``
+writes a recorded block's named columns into a trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign, sqrt
-from operator import sub
 
 import numpy as np
 
 from .errors import SingularGainError
+from .fde import _step_function
 from .fraccalc import _as_order, gamma
 from .plants import PlantModel
 
@@ -75,10 +76,6 @@ def _pair(e: float, v: float, lam: float, alp: float) -> tuple[float, float]:
     """
     s = 0.0 if e == 0.0 else copysign(1.0, e)
     return v + lam * sqrt(abs(e)) * s, alp * s
-
-
-# what a pair whose gate is closed contributes
-_HELD = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,8 @@ class ObserverDynamics:
     ``rhs_flat`` computes the errors and gates from the current flat state
     and runs the chain; ``channels`` writes a whole recorded block back
     as the named columns ``channel_labels``. In latching mode a gate stays
-    open once it has opened (the count of open gates never falls), which
-    makes an instance single-use per run unless reset().
+    open once it has opened (the count of open gates never falls): over a
+    run's march, and over ``rhs_flat``'s calls until reset().
     """
 
     def __init__(
@@ -219,44 +216,65 @@ class ObserverDynamics:
         self.reset()
 
     def reset(self) -> None:
-        self._latched = 0
+        self._rhs = None  # rhs_flat recompiles at its next call, unlatched
 
     def rhs_flat(self, y: float, flat) -> list[float]:
         """Derivative of the flat state (layout in the module docstring).
 
         ``flat`` is a sequence of floats: a list, or an array row. Pair
-        j+1 runs while gate E_j is open; the first pair always runs.
+        j+1 runs while gate E_j is open; the first pair always runs. The
+        ``statements`` run, compiled at the first call; a latch holds until
+        ``reset``.
         """
         if len(flat) != self.dim:
             raise ValueError(
                 f"flat state has {len(flat)} entries, {self.variant} observer "
                 f"with n={self.n} needs {self.dim}"
             )
-        lam, alp, eps = self._lam, self._alp, self._eps
+        if self._rhs is None:
+            ns: dict = {}
+            lines = self.statements("y", 0, ns)
+            self._rhs = _step_function(f"{self.variant} observer", self.dim, lines, ns, "y", "flat")
+        return self._rhs(y, flat)
+
+    def statements(self, y: str, base: int, ns: dict) -> list[str]:
+        """The chain as statements on the block at slot ``base``: they read
+        the output ``y`` (a name) and s{base}.., and bind p{base}.. by
+        ``_pair``'s formula (0.0 past the open gates). Gains, epsilon, the
+        drift and a latch cell (when latching) go into ``ns``."""
+        b, pairs = base, len(self._lam)
+        s, p = ([f"{c}{b + i}" for i in range(self.dim)] for c in "sp")
+        e = [f"e{b}_{j}" for j in range(pairs)]
+        o, eps, latch = f"o{b}", f"eps{b}", f"latch{b}"
+        ns.update({"sqrt": sqrt, "copysign": copysign, eps: self._eps})
+        for j in range(pairs):
+            ns[f"lam{b}_{j}"], ns[f"alp{b}_{j}"] = self._lam[j], self._alp[j]
 
         # each pair's measured input (y, then the previous pair's second
-        # variable) minus its estimate; open_ = gates open now
-        errors = [y - flat[0], *map(sub, flat[1:-2:2], flat[2::2])]
-        open_ = 0
-        for e in errors[: self.gate_count]:
-            if not abs(e) <= eps:
-                break
-            open_ += 1
+        # variable) minus its estimate; o = gates open now
+        lines = [f"{e[0]} = {y} - {s[0]}", *(f"{e[j]} = {s[2 * j - 1]} - {s[2 * j]}" for j in range(1, pairs))]
+        lines.append(f"{o} = 0")
+        for j in range(self.gate_count):
+            lines += [f"{'    ' * j}if abs({e[j]}) <= {eps}:", f"{'    ' * j}    {o} = {j + 1}"]
         if self.latching:
-            if open_ > self._latched:
-                self._latched = open_
-            else:
-                open_ = self._latched
-
-        out = []
-        for j in range(open_ + 1):
-            v = flat[2 * j + 1]
+            ns[latch] = [0]
+            lines += [f"if {o} > {latch}[0]:", f"    {latch}[0] = {o}", "else:", f"    {o} = {latch}[0]"]
+        for j in range(pairs):
+            v = s[2 * j + 1]
             if j == self._drift_pair:
                 # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
-                v = self.plant.drift(y, *flat[1:2 * j:2]) + v
-            out += _pair(errors[j], v, lam[j], alp[j])
-        out += _HELD * (self.gate_count - open_)
-        return out
+                ns[f"drift{b}"] = self.plant.drift
+                v = f"drift{b}({', '.join([y, *s[1:2 * j:2]])}) + {v}"
+            pair = [
+                f"g = 0.0 if {e[j]} == 0.0 else copysign(1.0, {e[j]})",
+                f"{p[2 * j]} = {v} + lam{b}_{j} * sqrt(abs({e[j]})) * g",
+                f"{p[2 * j + 1]} = alp{b}_{j} * g",
+            ]
+            if j:
+                pair = [f"if {o} >= {j}:", *(f"    {line}" for line in pair),
+                        "else:", f"    {p[2 * j]} = {p[2 * j + 1]} = 0.0"]
+            lines += pair
+        return lines
 
     def channels(self, y: np.ndarray, block: np.ndarray, out: dict) -> None:
         """Write the named columns of a recorded (rows, dim) block driven

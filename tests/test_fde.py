@@ -150,6 +150,17 @@ class TestFieldContract:
         as_array = integrate(relax(dim=3), 0.9, self.GRID, x0)
         assert np.array_equal(as_list.values, as_array.values)
 
+    def test_first_step_sees_x0_itself(self):
+        # a -0.0 in x0 reaches the field as -0.0 (x0 + 0.0 would be +0.0)
+        seen = []
+
+        def f(t, x):
+            seen.append(math.copysign(1.0, x[0]))
+            return [0.0]
+
+        integrate(VectorField(dim=1, eval=f), 0.9, SimGrid(h=0.1, t_end=0.3), [-0.0])
+        assert seen[0] == -1.0
+
     @pytest.mark.parametrize("out", [[1.0], [1.0, 2.0, 3.0, 4.0]])
     def test_wrong_length_result_raises(self, out):
         with pytest.raises(ValueError, match=f"returned {len(out)} values, field.dim is 3"):

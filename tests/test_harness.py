@@ -14,7 +14,7 @@ from fracobs.cli import main
 from fracobs.configs import ExperimentConfig, bundled_config, config_hash
 from fracobs.errors import ConfigError
 from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
-from fracobs.fde import SimGrid, integrate
+from fracobs.fde import SimGrid, VectorField, integrate
 from fracobs.observers import baseline_fault_readout, gates
 from fracobs.plants import NoiseSpec, assemble_field, fault_value, noise_signal, plant_preset
 
@@ -284,6 +284,67 @@ class TestReplay:
         cfg = ExperimentConfig.from_dict(gt_dict())
         with pytest.raises(ValueError):
             replay_observer(cfg, "proposed", np.zeros(7))
+
+
+class TestGeneratedStep:
+    """The run's field is generated statements (``harness._run_field``):
+    a march that inlines them equals one that calls their ``eval`` per
+    step, and ``eval`` equals the plant field plus each observer's
+    ``rhs_flat``."""
+
+    @staticmethod
+    def setup(name, variants, **over):
+        d = bundled_config(name)
+        d["grid"]["t_end"] = 2.0
+        d["observer"].update(over)
+        cfg = ExperimentConfig.from_dict(d)
+        plant = cfg.build_plant()
+        x0 = np.concatenate([plant.x0, *(cfg.build_init_state(v, plant.n) for v in variants)])
+
+        def field():
+            return fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants])
+
+        return cfg, plant, x0, field
+
+    @pytest.mark.parametrize("latching", [False, True])
+    @pytest.mark.parametrize("name, variants", [
+        ("example1", ("proposed",)), ("example2", ("proposed", "baseline")), ("example2", ("baseline",)),
+    ])
+    def test_inlined_step_equals_its_eval(self, name, variants, latching):
+        cfg, plant, x0, field = self.setup(name, variants, latching=latching)
+        grid = cfg.build_grid()
+        inlined = integrate(field(), plant.alpha, grid, x0)
+        called = field()
+        called = integrate(VectorField(called.dim, called.eval), plant.alpha, grid, x0)
+        assert np.array_equal(inlined.values, called.values)
+
+    @pytest.mark.parametrize("name, variants", [("example1", ("proposed",)),
+                                                ("example2", ("proposed", "baseline"))])
+    def test_eval_is_the_plant_field_then_each_rhs_flat(self, name, variants):
+        cfg, plant, x0, field = self.setup(name, variants)
+        step = field()
+        plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
+        rhs = [cfg.build_observer(v, plant).rhs_flat for v in variants]
+        rng = np.random.default_rng(5)
+        for k in rng.integers(1, cfg.build_grid().n_steps + 1, size=40):
+            t = int(k) * cfg.h
+            s = (x0 + rng.normal(0.0, 0.05, x0.size) * rng.integers(0, 2, x0.size)).tolist()
+            ref, lo = list(plant_eval(t, s[:plant.n])), plant.n
+            for f in rhs:
+                d = len(f.__self__.labels)
+                ref += f(s[0], s[lo:lo + d])
+                lo += d
+            assert step.eval(t, s) == ref
+
+    def test_replay_step_reads_the_sample_before_t(self):
+        cfg = ExperimentConfig.from_dict(gt_dict())
+        plant = cfg.build_plant()
+        obs = cfg.build_observer("proposed", plant)
+        y = np.arange(cfg.build_grid().n_steps + 1) * 0.01
+        step = fracobs.harness._run_field(cfg, plant, [obs], y)
+        s = [0.0] * obs.dim
+        for k in (0, 1, 2, 57):
+            assert step.eval(k * cfg.h, s) == obs.rhs_flat(y[max(k - 1, 0)], s)
 
 
 class TestCompare:

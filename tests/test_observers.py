@@ -15,6 +15,7 @@ the fixture, the default epsilon = 0.01 closes them all.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +25,12 @@ from hypothesis import strategies as st
 
 from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.errors import SingularGainError
+from fracobs.fde import VectorField
 from fracobs.harness import compare_observers, trace_columns
 from fracobs.observers import (
     FstaParams,
     ObserverDynamics,
+    _pair,
     baseline_fault_readout,
     fsta_rhs,
     gates,
@@ -542,3 +545,109 @@ class TestCascadeMatchesObjectCascade:
                 assert abs(new[4] - old[4]) <= 1e-12 * sum(abs(t) for t in terms)
                 new[4] = old[4]
             assert new == old
+
+
+# ---------------------------------------------------------------------------
+# the generated chain against the per-pair form it replaced
+
+def _per_pair_rhs(dyn, latch, y, flat):
+    """The chain one ``_pair`` call at a time, with the latch held in the
+    one-element list ``latch``: the form ``rhs_flat`` had before it was
+    compiled from ``ObserverDynamics.statements``."""
+    lam, alp, eps = dyn._lam, dyn._alp, dyn._eps
+    errors = [y - flat[0], *(flat[2 * j - 1] - flat[2 * j] for j in range(1, len(lam)))]
+    open_ = 0
+    for e in errors[:dyn.gate_count]:
+        if not abs(e) <= eps:
+            break
+        open_ += 1
+    if dyn.latching:
+        if open_ > latch[0]:
+            latch[0] = open_
+        else:
+            open_ = latch[0]
+    out = []
+    for j in range(open_ + 1):
+        v = flat[2 * j + 1]
+        if variant_drift_pair(dyn) == j:
+            v = dyn.plant.drift(y, *flat[1:2 * j:2]) + v
+        out += _pair(errors[j], v, lam[j], alp[j])
+    return out + [0.0, 0.0] * (dyn.gate_count - open_)
+
+
+def variant_drift_pair(dyn):
+    return dyn.n - 1 if dyn.variant == "proposed" else None
+
+
+def same_floats(a, b):
+    """Equal value and sign bit, or both NaN."""
+    return len(a) == len(b) and all(
+        (u != u and v != v) or (u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+        for u, v in zip(a, b)
+    )
+
+
+_GEN_EPS = 0.1
+_value = st.one_of(
+    st.sampled_from([0.0, -0.0, _GEN_EPS, -_GEN_EPS, math.nan, math.inf]),
+    st.floats(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def _chain_step(draw):
+    """(y, proposed flat state): anchors with errors of exactly 0 and
+    +-eps on top, or any value, NaN and inf included."""
+    anchors = [draw(st.one_of(st.just(0.0), st.floats(min_value=-3, max_value=3))) for _ in range(4)]
+    errors = [draw(_value) for _ in range(4)]
+    flat = [anchors[0]]
+    for j in range(1, 4):
+        flat += [anchors[j] + errors[j], anchors[j]]
+    return anchors[0] + errors[0], flat + [draw(_value)]
+
+
+class TestGeneratedChain:
+    """``ObserverDynamics.statements``, compiled as ``rhs_flat`` and as a
+    block behind plant slots, equals the per-pair form bit for bit."""
+
+    @given(
+        variant=st.sampled_from(["proposed", "baseline"]),
+        plant=st.sampled_from([arneodo(), genesio_tesi()]),
+        latching=st.booleans(),
+        gains=st.lists(st.floats(min_value=0.1, max_value=50), min_size=8, max_size=8),
+        steps=st.lists(_chain_step(), min_size=1, max_size=6),
+    )
+    @example(variant="proposed", plant=arneodo(), latching=True, gains=[1.0] * 8,
+             steps=[(_GEN_EPS, [0.0, _GEN_EPS, 0.0, -_GEN_EPS, 0.0, _GEN_EPS, 0.0, 0.5]),
+                    (1.0, [0.0] * 8), (math.nan, [0.0] * 8)])
+    @example(variant="baseline", plant=genesio_tesi(), latching=False, gains=[2.0] * 8,
+             steps=[(0.0, [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, -0.0])])
+    @settings(max_examples=300, deadline=None)
+    def test_generated_equals_per_pair(self, variant, plant, latching, gains, steps):
+        need = required_gain_count(variant, 3)
+        dyn = ObserverDynamics(variant, plant, gains[:need], gains[4:4 + need], _GEN_EPS, latching)
+        ns = {}
+        lines = ["p0 = p1 = p2 = 0.0", *dyn.statements("s0", 3, ns)]
+        behind = VectorField.from_statements(3 + dyn.dim, "test", lines, ns)
+        latch = [0]
+        for y, flat in steps:
+            flat = flat if variant == "proposed" else flat[:5] + flat[7:]
+            ref = _per_pair_rhs(dyn, latch, y, flat)
+            assert same_floats(dyn.rhs_flat(y, flat), ref)
+            assert same_floats(behind.eval(0.0, [y, 7.0, -7.0, *flat])[3:], ref)
+
+    @pytest.mark.parametrize("latching", [False, True])
+    @pytest.mark.parametrize("variant", ["proposed", "baseline"])
+    def test_statements_read_only_the_output_of_the_plant(self, variant, latching):
+        dyn = dynamics(variant, latching=latching)
+        lines = dyn.statements("s0", 3, {})
+        read = {int(i) for i in re.findall(r"\bs(\d+)\b", "\n".join(lines))}
+        bound = {int(i) for i in re.findall(r"\bp(\d+)\b", "\n".join(lines))}
+        assert read == {0} | set(range(3, 3 + dyn.dim))
+        assert bound == set(range(3, 3 + dyn.dim))
+
+    def test_latch_only_when_latching(self):
+        assert "latch" not in "\n".join(dynamics("proposed").statements("y", 0, {}))
+        ns = {}
+        assert "latch0" in "\n".join(dynamics("proposed", latching=True).statements("y", 0, ns))
+        assert ns["latch0"] == [0]
