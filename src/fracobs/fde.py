@@ -260,8 +260,7 @@ def integrate(
 
 
 def _call_step(dim: int) -> list[str]:
-    """A plain field's step: its eval on the state as a list, the first
-    result's length checked."""
+    """A plain field's step: its eval on [s0, ...], the first result's length checked."""
     return [f"p = evaluate(t, [{_names('s', dim)}])", f"if k == 1 and len(p) != {dim}:",
             f"    raise ValueError('field returned %d values, field.dim is {dim}' % len(p))",
             f"{_names('p', dim)}, = p"]
@@ -313,10 +312,11 @@ def _step_function(name: str, dim: int, lines: Sequence[str], ns: dict, first: s
 
 
 def _compiled(source: str, name: str, ns: dict, fn: str):
-    """The function ``fn`` that ``source`` defines, run on a copy of ``ns``."""
-    scope = dict(ns)
+    """The function ``fn`` that ``source`` defines on a copy of ``ns`` (lists,
+    a step's state, copied too), taken out of its globals to leave no cycle."""
+    scope = {key: value.copy() if type(value) is list else value for key, value in ns.items()}
     exec(compile(source, f"<fracobs step: {name}>", "exec"), scope)
-    return scope[fn]
+    return scope.pop(fn)
 
 
 def _names(prefix: str, dim: int) -> str:

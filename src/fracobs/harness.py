@@ -5,12 +5,12 @@ fair two-observer comparison.
 ``_cosimulate``. It writes one augmented vector field as statements
 (``_run_field``: the plant's channels, then one observer block per
 distinct variant), which ``fde.integrate`` inlines into its leaf, and
-integrates it once on a shared grid. The only plant signal entering an observer block is the measured output x1,
-taken from the previous grid point exactly as the explicit stepper sees
-every other state, so both observers of a comparison read the same
-output stream (same noise draw) in the same march. The comparison then
-re-evaluates their fault-estimate metrics on a common time window before
-declaring a winner.
+integrates it once on a shared grid. The only plant signal entering an
+observer block is the measured output x1, taken from the previous grid
+point exactly as the explicit stepper sees every other state, so both
+observers of a comparison read the same output stream (same noise draw)
+in the same march. The comparison then re-evaluates their fault-estimate
+metrics on a common time window before declaring a winner.
 
 ``replay_observer`` drives one observer from a recorded output stream
 alone, through the same statements, so it is no independent reference:
@@ -148,7 +148,7 @@ def _run_field(cfg: ExperimentConfig, plant: PlantModel, observers,
         lines = [*(f"p{i} = s{i + 1}" for i in range(plant.n - 1)), f"p{plant.n - 1} = {drive}"]
         y, lo, kind = "s0", plant.n, ""
     else:
-        ns.update(y_rec=y_rec.tolist(), y_h=cfg.build_grid().h)
+        ns.update(y_rec=tuple(y_rec.tolist()), y_h=cfg.build_grid().h)
         lines = ["i = round(t / y_h) - 1", "y = y_rec[i if i > 0 else 0]"]
         y, lo, kind = "y", 0, "replay "
     for obs in observers:

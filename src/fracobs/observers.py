@@ -252,8 +252,8 @@ class ObserverDynamics:
 
         # each pair's measured input (y, then the previous pair's second
         # variable) minus its estimate; o = gates open now
-        lines = [f"{e[0]} = {y} - {s[0]}", *(f"{e[j]} = {s[2 * j - 1]} - {s[2 * j]}" for j in range(1, pairs))]
-        lines.append(f"{o} = 0")
+        lines = [f"{e[0]} = {y} - {s[0]}", *(f"{e[j]} = {s[2 * j - 1]} - {s[2 * j]}" for j in range(1, pairs)),
+                 f"{o} = 0"]
         for j in range(self.gate_count):
             lines += [f"{'    ' * j}if abs({e[j]}) <= {eps}:", f"{'    ' * j}    {o} = {j + 1}"]
         if self.latching:

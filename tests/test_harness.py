@@ -313,10 +313,12 @@ class TestGeneratedStep:
     def test_inlined_step_equals_its_eval(self, name, variants, latching):
         cfg, plant, x0, field = self.setup(name, variants, latching=latching)
         grid = cfg.build_grid()
-        inlined = integrate(field(), plant.alpha, grid, x0)
-        called = field()
-        called = integrate(VectorField(called.dim, called.eval), plant.alpha, grid, x0)
+        step = field()
+        inlined = integrate(step, plant.alpha, grid, x0)
+        called = integrate(VectorField(step.dim, step.eval), plant.alpha, grid, x0)
         assert np.array_equal(inlined.values, called.values)
+        # each march and the eval keep their own latch
+        assert np.array_equal(integrate(step, plant.alpha, grid, x0).values, inlined.values)
 
     @pytest.mark.parametrize("name, variants", [("example1", ("proposed",)),
                                                 ("example2", ("proposed", "baseline"))])
