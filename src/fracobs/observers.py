@@ -44,7 +44,6 @@ from math import copysign, sqrt
 import numpy as np
 
 from .errors import SingularGainError
-from .fde import _step_function
 from .fraccalc import _as_order, gamma
 from .plants import PlantModel
 
@@ -232,6 +231,7 @@ class ObserverDynamics:
                 f"with n={self.n} needs {self.dim}"
             )
         if self._rhs is None:
+            from .fde import _step_function
             ns: dict = {}
             lines = self.statements("y", 0, ns)
             self._rhs = _step_function(f"{self.variant} observer", self.dim, lines, ns, "y", "flat")

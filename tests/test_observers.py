@@ -569,14 +569,10 @@ def _per_pair_rhs(dyn, latch, y, flat):
     out = []
     for j in range(open_ + 1):
         v = flat[2 * j + 1]
-        if variant_drift_pair(dyn) == j:
+        if j == dyn._drift_pair:
             v = dyn.plant.drift(y, *flat[1:2 * j:2]) + v
         out += _pair(errors[j], v, lam[j], alp[j])
     return out + [0.0, 0.0] * (dyn.gate_count - open_)
-
-
-def variant_drift_pair(dyn):
-    return dyn.n - 1 if dyn.variant == "proposed" else None
 
 
 def same_floats(a, b):
