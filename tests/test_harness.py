@@ -293,7 +293,7 @@ class TestGeneratedStep:
     ``rhs_flat``."""
 
     @staticmethod
-    def setup(name, variants, **over):
+    def build(name, variants, **over):
         d = bundled_config(name)
         d["grid"]["t_end"] = 2.0
         d["observer"].update(over)
@@ -311,7 +311,7 @@ class TestGeneratedStep:
         ("example1", ("proposed",)), ("example2", ("proposed", "baseline")), ("example2", ("baseline",)),
     ])
     def test_inlined_step_equals_its_eval(self, name, variants, latching):
-        cfg, plant, x0, field = self.setup(name, variants, latching=latching)
+        cfg, plant, x0, field = self.build(name, variants, latching=latching)
         grid = cfg.build_grid()
         step = field()
         inlined = integrate(step, plant.alpha, grid, x0)
@@ -323,7 +323,7 @@ class TestGeneratedStep:
     @pytest.mark.parametrize("name, variants", [("example1", ("proposed",)),
                                                 ("example2", ("proposed", "baseline"))])
     def test_eval_is_the_plant_field_then_each_rhs_flat(self, name, variants):
-        cfg, plant, x0, field = self.setup(name, variants)
+        cfg, plant, x0, field = self.build(name, variants)
         step = field()
         plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
         rhs = [cfg.build_observer(v, plant).rhs_flat for v in variants]
