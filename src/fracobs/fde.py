@@ -42,9 +42,10 @@ h^alpha * p_i - f_i at a leaf's first step, then Z[k] = (z_0, ...) and
 s_i = x0_i + z_i. f_i is row k of the z array, where the far field
 accumulates before step k; q_i is the near field, the step's one numpy
 call. The field supplies the statements that bind p_0.. from s_0.. and
-t: a plain ``VectorField``'s call its ``eval`` on [s_0, ...], and one
-made by ``VectorField.from_statements`` (a harness run) brings its own,
-which its ``eval`` also runs. The code is compiled under the file name
+t: a plain ``VectorField``'s call its ``eval`` on [s_0, ...]; one made
+by ``VectorField.from_statements``, the package's one step compiler
+(plant fields, runs, ``rhs_flat``), brings its own, which its ``eval``
+also runs. The code is compiled under the file name
 ``<fracobs step: name>``, so profiles and tracebacks name the field.
 The z array is the march's only (n+1) x dim array: once the march ends
 it is shifted by x0 in place and becomes the trace.
@@ -143,8 +144,9 @@ class VectorField:
     def from_statements(cls, dim: int, name: str, lines: Sequence[str], ns: dict) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
         and bind p0.. (``ns`` their globals): a march inlines, eval runs them."""
-        evaluate = _step_function(name, dim, lines, ns, "t", "x")
-        return cls(dim, evaluate, (name, tuple(lines), ns))
+        body = "".join(f"    {line}\n" for line in lines)
+        source = f"def step(t, x):\n    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
+        return cls(dim, _compiled(source, name, ns, "step"), (name, tuple(lines), ns))
 
 
 @dataclass
@@ -302,13 +304,6 @@ def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot):
         return 0
     return leaf
 """
-
-
-def _step_function(name: str, dim: int, lines: Sequence[str], ns: dict, first: str, state: str):
-    """def step(first, state) -> [p0, ...] running ``lines`` on s0.. = state."""
-    body = "".join(f"    {line}\n" for line in lines)
-    source = f"def step({first}, {state}):\n    {_names('s', dim)}, = {state}\n{body}    return [{_names('p', dim)}]\n"
-    return _compiled(source, name, ns, "step")
 
 
 def _compiled(source: str, name: str, ns: dict, fn: str):

@@ -3,7 +3,7 @@ fair two-observer comparison.
 
 ``run_experiment`` and ``compare_observers`` share one co-simulation,
 ``_cosimulate``. It writes one augmented vector field as statements
-(``_run_field``: the plant's channels, then one observer block per
+(``_run_field``: ``PlantModel.statements``, then one observer block per
 distinct variant), which ``fde.integrate`` inlines into its leaf, and
 integrates it once on a shared grid. The only plant signal entering an
 observer block is the measured output x1, taken from the previous grid
@@ -13,9 +13,10 @@ in the same march. The comparison then re-evaluates their fault-estimate
 metrics on a common time window before declaring a winner.
 
 ``replay_observer`` drives one observer from a recorded output stream
-alone, through the same statements, so it is no independent reference:
-the tests check both against the per-pair form (the plant field of
-``assemble_field`` plus each observer's ``_pair`` calls).
+alone, held per step by ``plants.held_signal`` as the noise is, through
+the same statements, so it is no independent reference: the tests check
+the observer blocks against the per-pair form (one ``_pair`` call per
+pair) and the plant's statements against their explicit arithmetic.
 
 ``trace_columns`` is the one channel schema: the CSV header, and in the
 same order the labels of every enriched trace, which holds the plant
@@ -41,7 +42,7 @@ from .metrics import (
     sup_error,
 )
 from .observers import ObserverDynamics
-from .plants import PlantModel, fault_value
+from .plants import PlantModel, fault_value, held_signal
 
 __all__ = [
     "run_experiment",
@@ -130,26 +131,18 @@ def _compute_metrics(
 
 def _run_field(cfg: ExperimentConfig, plant: PlantModel, observers,
                y_rec: Optional[np.ndarray] = None) -> VectorField:
-    """A run's field as generated statements: the plant's chain, p_i =
-    s_{i+1} and the last component in ``assemble_field``'s form, with
-    y = s0 (co-simulation); or, given ``y_rec`` (a replay), y is the
-    recorded sample the step into t = k * h consumes, y_rec[k - 1]. Then
-    each observer's block, which reads nothing but y."""
+    """A run's field as generated statements: the plant's own
+    (``PlantModel.statements``) with y = s0 (co-simulation); or, given
+    ``y_rec`` (a replay), y is the recorded output held per step
+    (``held_signal``). Then each observer's block, which reads nothing
+    but y."""
     ns: dict = {}
     if y_rec is None:
-        fault, noise = cfg.fault, cfg.build_noise()
-        x = ", ".join(f"s{i}" for i in range(plant.n))
-        drive = f"drift({x})"
-        if fault is not None and fault.kind != "none":
-            drive += f" + gain({x}) * fault_value(fault, t)"
-        if noise is not None:
-            drive += " + noise(t)"
-        ns.update(drift=plant.drift, gain=plant.gain, fault_value=fault_value, fault=fault, noise=noise)
-        lines = [*(f"p{i} = s{i + 1}" for i in range(plant.n - 1)), f"p{plant.n - 1} = {drive}"]
+        lines = plant.statements(cfg.fault, cfg.build_noise(), ns)
         y, lo, kind = "s0", plant.n, ""
     else:
-        ns.update(y_rec=tuple(y_rec.tolist()), y_h=cfg.build_grid().h)
-        lines = ["i = round(t / y_h) - 1", "y = y_rec[i if i > 0 else 0]"]
+        ns["y_at"] = held_signal(y_rec, cfg.build_grid().h)
+        lines = ["y = y_at(t)"]
         y, lo, kind = "y", 0, "replay "
     for obs in observers:
         lines += obs.statements(y, lo, ns)

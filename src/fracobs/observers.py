@@ -44,6 +44,7 @@ from math import copysign, sqrt
 import numpy as np
 
 from .errors import SingularGainError
+from .fde import VectorField
 from .fraccalc import _as_order, gamma
 from .plants import PlantModel
 
@@ -231,10 +232,9 @@ class ObserverDynamics:
                 f"with n={self.n} needs {self.dim}"
             )
         if self._rhs is None:
-            from .fde import _step_function
             ns: dict = {}
-            lines = self.statements("y", 0, ns)
-            self._rhs = _step_function(f"{self.variant} observer", self.dim, lines, ns, "y", "flat")
+            lines = ["y = t", *self.statements("y", 0, ns)]
+            self._rhs = VectorField.from_statements(self.dim, f"{self.variant} observer", lines, ns).eval
         return self._rhs(y, flat)
 
     def statements(self, y: str, base: int, ns: dict) -> list[str]:

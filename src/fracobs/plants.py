@@ -22,6 +22,10 @@ The chain writes its drift once, over components: ``drift(x1, .., xn)``
 on Python floats for the per-step field, and ``PlantModel.a(x)`` unpacks
 the last axis of an array into the same expression, so x may be shape
 (n,) or (rows, n) and the harness reads out whole trace columns with it.
+
+``PlantModel.statements`` writes the chain's step once (``assemble_field``
+compiles it, a harness run inlines it), and ``held_signal`` is the one
+per-step hold of samples in t, for the noise and a replay's output.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "PLANT_PRESETS",
     "fault_value",
     "noise_draws",
+    "held_signal",
     "noise_signal",
     "assemble_field",
 ]
@@ -80,6 +85,22 @@ class PlantModel:
 
     def b(self, x):
         return self.gain(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+
+    def statements(self, fault: Optional[FaultSignal], noise: Optional[Callable[[float], float]], ns: dict) -> list[str]:
+        """The chain as statements that read s0.. and t and bind p0..: p_i =
+        s_{i+1}, and the last component drift(s0, ..), plus gain(s0, ..) *
+        fault_value(fault, t) for a fault of any kind but none, plus noise(t)
+        when there is noise. The callables they call go into ``ns``."""
+        x = ", ".join(f"s{i}" for i in range(self.n))
+        drive = f"drift({x})"
+        ns["drift"] = self.drift
+        if fault is not None and fault.kind != "none":
+            drive += f" + gain({x}) * fault_value(fault, t)"
+            ns.update(gain=self.gain, fault_value=fault_value, fault=fault)
+        if noise is not None:
+            drive += " + noise(t)"
+            ns["noise"] = noise
+        return [*(f"p{i} = s{i + 1}" for i in range(self.n - 1)), f"p{self.n - 1} = {drive}"]
 
 
 @dataclass(frozen=True)
@@ -164,21 +185,23 @@ def noise_draws(spec: NoiseSpec, count: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(spec.variance), size=int(count))
 
 
-def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
-    """The noise on ``grid`` as a function of t.
+def held_signal(samples, h: float) -> Callable[[float], float]:
+    """Per-step samples on a grid of step h as a function of t: the step
+    into t = k*h reads sample k-1, t = 0 reads sample 0, and a t past the
+    samples raises IndexError."""
+    table = memoryview(np.ascontiguousarray(samples, dtype=float))
 
-    The step into t = k*h reads draw k-1 of ``noise_draws(spec,
-    grid.n_steps)``, so every evaluation within a step sees the same
-    draw. t = 0 reads draw 0; a t past the grid raises IndexError.
-    """
-    draws = memoryview(noise_draws(spec, grid.n_steps))
-    h = grid.h
-
-    def noise(t: float) -> float:
+    def held(t: float) -> float:
         k = round(t / h) - 1
-        return draws[k if k > 0 else 0]
+        return table[k if k > 0 else 0]
 
-    return noise
+    return held
+
+
+def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
+    """The noise on ``grid`` as a function of t: ``noise_draws(spec,
+    grid.n_steps)`` held per step (``held_signal``)."""
+    return held_signal(noise_draws(spec, grid.n_steps), grid.h)
 
 
 def _unit_gain(*x) -> float:
@@ -255,24 +278,11 @@ def assemble_field(
     fault: Optional[FaultSignal] = None,
     noise: Optional[Callable[[float], float]] = None,
 ) -> VectorField:
-    """Build the simulation right-hand side for a plant run.
-
-    Components 1..n-1 are exactly the shifted state (the chain); fault and
-    noise(t) (see ``noise_signal``) enter only the last component, as
-    a(x) + b(x) * f(t) + noise(t). The field takes the state as a sequence
-    of floats (``integrate`` passes a list) and returns a list; it is a
-    pure function of (t, x).
+    """The right-hand side of a plant run: ``plant.statements``, which a
+    march inlines and whose ``eval`` takes the state as a sequence of
+    floats and returns a list. Components 1..n-1 are exactly the shifted
+    state; fault and noise(t) (see ``noise_signal``) enter only the last,
+    as a(x) + b(x) * f(t) + noise(t). It is a pure function of (t, x).
     """
-    drift = plant.drift
-    gain = plant.gain
-    faulty = fault is not None and fault.kind != "none"
-
-    def evaluate(t, x):
-        drive = drift(*x)
-        if faulty:
-            drive = drive + gain(*x) * fault_value(fault, t)
-        if noise is not None:
-            drive = drive + noise(t)
-        return [*x[1:], drive]
-
-    return VectorField(dim=plant.n, eval=evaluate)
+    ns: dict = {}
+    return VectorField.from_statements(plant.n, plant.name or "plant", plant.statements(fault, noise, ns), ns)

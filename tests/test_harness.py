@@ -1,4 +1,4 @@
-"""Experiment configs, co-simulation, replay, and paired comparison.
+"""Co-simulation, replay, the generated step, and paired comparison.
 
 Simulation-backed tests run short horizons on coarse grids; the long
 benchmark reproductions live in test_acceptance.py.
@@ -11,8 +11,7 @@ import pytest
 
 import fracobs.harness
 from fracobs.cli import main
-from fracobs.configs import ExperimentConfig, bundled_config, config_hash
-from fracobs.errors import ConfigError
+from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
 from fracobs.fde import SimGrid, VectorField, integrate
 from fracobs.observers import baseline_fault_readout, gates
@@ -37,142 +36,6 @@ def gt_dict(**over):
         else:
             d[sect] = val
     return d
-
-
-class TestConfigParsing:
-    def test_round_trip_through_dict(self):
-        cfg = ExperimentConfig.from_dict(gt_dict())
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert cfg == again
-
-    def test_hash_stable_under_key_reordering(self):
-        d = gt_dict()
-        scrambled = {k: d[k] for k in reversed(list(d))}
-        scrambled["observer"] = dict(reversed(list(d["observer"].items())))
-        h1 = config_hash(ExperimentConfig.from_dict(d))
-        h2 = config_hash(ExperimentConfig.from_dict(scrambled))
-        assert h1 == h2
-
-    def test_hash_changes_with_values(self):
-        h1 = config_hash(ExperimentConfig.from_dict(gt_dict()))
-        h2 = config_hash(ExperimentConfig.from_dict(gt_dict(**{"grid.t_end": 9.0})))
-        assert h1 != h2
-
-    def test_memory_defaults_by_horizon(self, tmp_path):
-        short = gt_dict()
-        del short["grid"]["memory"]
-        assert ExperimentConfig.from_dict(short).memory == "full"
-        long = gt_dict(**{"grid.t_end": 60.0})
-        del long["grid"]["memory"]
-        assert ExperimentConfig.from_dict(long).memory == 5000
-        # a long run on a coarse grid keeps every step it has
-        coarse = gt_dict(**{"grid.t_end": 60.0, "grid.h": 0.02})
-        del coarse["grid"]["memory"]
-        assert ExperimentConfig.from_dict(coarse).memory == 3000
-        assert main(["run", "example2", "--out", str(tmp_path), "--set", "grid.t_end=60",
-                     "--set", "grid.h=0.02", "--set", "grid.memory=null"]) == 0
-
-    @pytest.mark.parametrize("mutate, field", [
-        (lambda d: d.pop("observer"), "observer"),
-        (lambda d: d.pop("grid"), "grid"),
-        (lambda d: d["grid"].__setitem__("h", 0.0), "grid.h"),
-        (lambda d: d["grid"].__setitem__("t_end", -1.0), "grid.t_end"),
-        (lambda d: d["grid"].__setitem__("dt", 1e-3), "grid"),
-        (lambda d: d["grid"].update(h=1, t_end=0.4), "grid.t_end: grid must contain at least one step"),
-        (lambda d: d["grid"].__setitem__("memory", 801), "grid.memory"),
-        (lambda d: d["observer"].__setitem__("variant", "improved"), "observer.variant"),
-        (lambda d: d["observer"].__setitem__("epsilon", 0.0), "observer.epsilon"),
-        (lambda d: d["observer"].__setitem__("latching", "yes"), "observer.latching"),
-        (lambda d: d["observer"].pop("gains"), "observer.gains"),
-        (lambda d: d["observer"].__setitem__("lambdas", [1, 2, 3, 4]), "observer.gains"),
-        (lambda d: d["fault"].__setitem__("kind", "sawtooth"), "fault.kind"),
-        # a fault of kind none is left out of the canonical form, but still checked
-        (lambda d: d["fault"].update(kind="none", onset=-1.0), "fault: fault onset must be >= 0"),
-        (lambda d: d["noise"].__setitem__("variance", -1.0), "noise.variance"),
-        (lambda d: d["plant"].__setitem__("preset", "lorenz"), "plant.preset"),
-        (lambda d: d.__setitem__("output_stride", 0), "output_stride"),
-        (lambda d: d.__setitem__("typo_key", 1), ""),
-        # the name becomes an output file prefix inside --out
-        (lambda d: d.__setitem__("name", "../escaped"), "name"),
-        (lambda d: d.__setitem__("name", "sub/run"), "name"),
-        (lambda d: d.__setitem__("name", "sub\\run"), "name"),
-        (lambda d: d.__setitem__("name", ""), "name"),
-        (lambda d: d.__setitem__("name", "."), "name"),
-        (lambda d: d.__setitem__("name", ".."), "name"),
-        (lambda d: d.__setitem__("name", 5), "name"),
-        (lambda d: d.__setitem__("name", "a\0b"), "name"),
-        (lambda d: d.__setitem__("seed", -1), "seed"),
-        # sections must be objects and list keys lists
-        (lambda d: d.__setitem__("grid", 5), "grid"),
-        (lambda d: d.__setitem__("noise", 2), "noise"),
-        (lambda d: d.__setitem__("fault", [1]), "fault"),
-        (lambda d: d.__setitem__("plant", "genesio-tesi-paper"), "plant"),
-        (lambda d: d.__setitem__("observer", None), "observer: expected an object"),
-        (lambda d: d["plant"].__setitem__("preset", ["genesio-tesi-paper"]), "plant.preset: unknown"),
-        (lambda d: d["plant"].__setitem__("betas", 3), "plant.betas"),
-        (lambda d: d["plant"].__setitem__("x0", 0.5), "plant.x0"),
-        (lambda d: (d["observer"].pop("gains"),
-                    d["observer"].update(lambdas=1, alphas=[1, 1, 1, 1])), "observer.lambdas"),
-        (lambda d: (d["observer"].pop("gains"),
-                    d["observer"].update(lambdas=[1, 1, 1, 1], alphas="1111")), "observer.alphas"),
-        (lambda d: d["observer"].__setitem__("init", 0.0), "observer.init"),
-        (lambda d: d["fault"].__setitem__("amplitude", [1]), "fault.amplitude"),
-        (lambda d: d["fault"].__setitem__("frequency", "1"), "fault.frequency"),
-        (lambda d: d["fault"].__setitem__("onset", None), "fault.onset"),
-        (lambda d: d["fault"].update(kind="custom", samples=1.0, sample_dt=0.1), "fault.samples"),
-        (lambda d: d["fault"].update(kind="custom", samples=[1.0], sample_dt=[0.1]), "fault.sample_dt"),
-        # only a custom fault reads samples and sample_dt
-        (lambda d: d["fault"].update(samples=[1.0, 2.0]), "fault: a sine fault takes no samples"),
-        (lambda d: d["fault"].update(sample_dt=0.1), "fault: a sine fault takes no samples"),
-        (lambda d: d["fault"].update(kind="none", samples=[1.0], sample_dt=0.1), "fault: a none fault"),
-        # numbers must be finite (JSON readers accept NaN, Infinity and 1e400)
-        (lambda d: d["grid"].__setitem__("h", float("nan")), "grid.h: expected a finite number, got nan"),
-        (lambda d: d["grid"].__setitem__("t_end", float("inf")), "grid.t_end: expected a finite number, got inf"),
-        (lambda d: d["noise"].__setitem__("variance", float("nan")), "noise.variance: expected a finite number, got nan"),
-        (lambda d: d["noise"].__setitem__("variance", float("inf")), "noise.variance: expected a finite number, got inf"),
-        (lambda d: d["noise"].__setitem__("variance", 10 ** 400), "noise.variance: expected a finite number, got 1000"),
-        (lambda d: d["observer"].__setitem__("epsilon", float("nan")), "observer.epsilon: expected a finite number, got nan"),
-        (lambda d: d["observer"].__setitem__("epsilon", float("-inf")), "observer.epsilon: expected a finite number, got -inf"),
-        (lambda d: d["observer"].__setitem__("epsilon", float("inf")), "observer.epsilon: expected a finite number, got inf"),
-        # the positivity check lives in ObserverDynamics, which from_dict builds once
-        (lambda d: d["observer"].__setitem__("gains", -1), "observer.gains: all observer gains must be strictly positive"),
-        (lambda d: (d["observer"].pop("gains"), d["observer"].update(lambdas=[1, 1, 1], alphas=[1, 1, 1])),
-         "observer.gains: proposed observer with n=3 needs 4 gain pairs"),
-        # the plant is built once at load, so a misfit override fails there
-        (lambda d: d["plant"].__setitem__("betas", [1, 2]), "plant: genesio_tesi needs 4 betas"),
-        (lambda d: d["plant"].__setitem__("x0", [1, 2]), "plant: x0 shape"),
-    ])
-    def test_validation_names_the_field(self, mutate, field):
-        d = gt_dict()
-        mutate(d)
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(d)
-        if field:
-            assert field in str(exc.value)
-
-    def test_explicit_gain_lists(self):
-        d = gt_dict(**{"observer.lambdas": [1, 2, 3, 4], "observer.alphas": [5, 6, 7, 8]})
-        del d["observer"]["gains"]
-        cfg = ExperimentConfig.from_dict(d)
-        lam, _ = cfg.build_gains("proposed", 3)
-        assert lam == (1, 2, 3, 4)
-        # baseline leg of a comparison takes the first n pairs
-        assert cfg.build_gains("baseline", 3) == ((1, 2, 3), (5, 6, 7))
-
-    def test_scalar_gain_broadcast(self):
-        cfg = ExperimentConfig.from_dict(gt_dict())
-        assert cfg.build_gains("proposed", 3) == ((0.5,) * 4, (0.5,) * 4)
-        assert cfg.build_gains("baseline", 3) == ((0.5,) * 3, (0.5,) * 3)
-
-    def test_observer_init_length_checked(self):
-        # against the configured variant when the config is read, before any run
-        d = gt_dict(**{"observer.init": [0.0] * 5})
-        with pytest.raises(ConfigError, match="observer.init: proposed observer with n=3 needs 8 entries, got 5"):
-            ExperimentConfig.from_dict(d)
-        cfg = ExperimentConfig.from_dict(gt_dict(**{"observer.init": [0.0] * 8}))
-        assert cfg.build_init_state("proposed", 3).tolist() == [0.0] * 8
-        with pytest.raises(ConfigError, match="baseline observer with n=3 needs 6 entries, got 8"):
-            cfg.build_init_state("baseline", 3)
 
 
 class TestRunExperiment:
@@ -287,31 +150,44 @@ class TestReplay:
 
 
 class TestGeneratedStep:
-    """The run's field is generated statements (``harness._run_field``):
-    a march that inlines them equals one that calls their ``eval`` per
-    step, and ``eval`` equals the plant field plus each observer's
+    """The run's field is generated statements (``harness._run_field``),
+    and so is a plant-only field (``assemble_field``): a march that
+    inlines them equals one that calls their ``eval`` per step, and a
+    run's ``eval`` equals the plant field plus each observer's
     ``rhs_flat``."""
 
     @staticmethod
-    def build(name, variants, **over):
+    def build(name, variants, fault=None, **over):
         d = bundled_config(name)
         d["grid"]["t_end"] = 2.0
         d["observer"].update(over)
+        if fault is not None:
+            d["fault"] = fault
         cfg = ExperimentConfig.from_dict(d)
         plant = cfg.build_plant()
         x0 = np.concatenate([plant.x0, *(cfg.build_init_state(v, plant.n) for v in variants)])
 
         def field():
+            if not variants:
+                return assemble_field(plant, cfg.fault, cfg.build_noise())
             return fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants])
 
         return cfg, plant, x0, field
 
-    @pytest.mark.parametrize("latching", [False, True])
-    @pytest.mark.parametrize("name, variants", [
-        ("example1", ("proposed",)), ("example2", ("proposed", "baseline")), ("example2", ("baseline",)),
+    @pytest.mark.parametrize("name, variants, latching, fault", [
+        *(pytest.param(name, variants, latching, None,
+                       id=f"{name}-{'+'.join(variants)}{'-latching' if latching else ''}")
+          for name, variants in [("example1", ("proposed",)), ("example2", ("proposed", "baseline")),
+                                 ("example2", ("baseline",))]
+          for latching in (False, True)),
+        # the plant alone: example1's cosine fault and noise, then a custom fault with an onset
+        pytest.param("example1", (), False, None, id="example1-plant"),
+        pytest.param("example1", (), False,
+                     {"kind": "custom", "samples": [0.3, -0.2, 0.5], "sample_dt": 0.4, "onset": 0.6},
+                     id="example1-plant-custom"),
     ])
-    def test_inlined_step_equals_its_eval(self, name, variants, latching):
-        cfg, plant, x0, field = self.build(name, variants, latching=latching)
+    def test_inlined_step_equals_its_eval(self, name, variants, latching, fault):
+        cfg, plant, x0, field = self.build(name, variants, fault, latching=latching)
         grid = cfg.build_grid()
         step = field()
         inlined = integrate(step, plant.alpha, grid, x0)
@@ -338,15 +214,23 @@ class TestGeneratedStep:
                 lo += d
             assert step.eval(t, s) == ref
 
-    def test_replay_step_reads_the_sample_before_t(self):
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_replay_step_reads_the_sample_before_t(self, strided):
+        # the replay's y is held_signal over n + 1 samples: t = 0 reads
+        # sample 0, t = k * h sample k - 1, and a t past them raises; a
+        # trace channel (a strided column) reads as its contiguous copy
         cfg = ExperimentConfig.from_dict(gt_dict())
         plant = cfg.build_plant()
         obs = cfg.build_observer("proposed", plant)
-        y = np.arange(cfg.build_grid().n_steps + 1) * 0.01
-        step = fracobs.harness._run_field(cfg, plant, [obs], y)
+        n = cfg.build_grid().n_steps
+        y = np.arange(n + 1) * 0.01
+        rec = np.column_stack([-y, y])[:, 1] if strided else y
+        step = fracobs.harness._run_field(cfg, plant, [obs], rec)
         s = [0.0] * obs.dim
-        for k in (0, 1, 2, 57):
+        for k in (0, 1, 2, 57, n, n + 1):
             assert step.eval(k * cfg.h, s) == obs.rhs_flat(y[max(k - 1, 0)], s)
+        with pytest.raises(IndexError):
+            step.eval((n + 2) * cfg.h, s)
 
 
 class TestCompare:

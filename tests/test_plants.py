@@ -8,6 +8,7 @@ import pytest
 from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.fde import SimGrid, integrate, memory_truncation_error
 from fracobs.plants import (
+    FAULT_KINDS,
     FaultSignal,
     NoiseSpec,
     PlantModel,
@@ -15,6 +16,7 @@ from fracobs.plants import (
     assemble_field,
     fault_value,
     genesio_tesi,
+    held_signal,
     noise_draws,
     noise_signal,
     plant_preset,
@@ -171,15 +173,28 @@ class TestNoise:
         drawn = np.array([noise(k * grid.h) for k in range(1, count + 1)])
         assert drawn.tobytes() == noise_draws(spec, count).tobytes()
 
-    def test_ends_of_the_table_do_not_wrap(self):
+    @pytest.mark.parametrize("source", ["noise_signal", "held_signal", "strided"])
+    def test_ends_of_the_table_do_not_wrap(self, source):
+        # the noise is its draws held per step; a held column of a wider
+        # array (as a trace channel is) reads the same floats as its copy
         spec = NoiseSpec(variance=1.5, seed=0)
         grid = SimGrid(h=0.01, t_end=1.0)
-        draws = noise_draws(spec, grid.n_steps)
-        noise = noise_signal(spec, grid)
-        assert noise(0.0) == draws[0] != draws[-1]
-        assert noise(grid.t_end) == draws[-1]
+        n = grid.n_steps
+        draws = noise_draws(spec, n)
+        if source == "noise_signal":
+            held = noise_signal(spec, grid)
+        elif source == "held_signal":
+            held = held_signal(draws, grid.h)
+        else:
+            block = np.zeros((n, 3))
+            block[:, 1] = draws
+            assert not block[:, 1].flags.c_contiguous
+            held = held_signal(block[:, 1], grid.h)
+        assert held(0.0) == draws[0] != draws[-1]
+        assert [held(k * grid.h) for k in range(1, n + 1)] == draws.tolist()
+        assert held(grid.t_end) == draws[n - 1]
         with pytest.raises(IndexError):
-            noise(grid.t_end + grid.h)
+            held(grid.t_end + grid.h)
 
     def test_seed_determinism(self):
         a = noise_draws(NoiseSpec(variance=1.5, seed=3), 100)
@@ -221,19 +236,31 @@ class TestAssembleField:
         expect = noise_draws(NoiseSpec(variance=1.5, seed=0), 1)[0]
         assert d1[2] == d0[2] + expect
 
-    def test_gain_scales_the_fault_but_not_the_noise(self):
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("kind", [*FAULT_KINDS, None])
+    def test_gain_scales_the_fault_but_not_the_noise(self, kind, noisy):
+        # the one plant definition, pinned by explicit arithmetic
         def drift(x1, x2, x3):
             return x1 * x2 - x3
 
-        plant = PlantModel(n=3, alpha=0.9, drift=drift, gain=lambda *x: 2.0,
-                           x0=[0.0, 0.0, 0.0], params={})
-        fault = FaultSignal(kind="sine", amplitude=0.7, frequency=1.3)
-        grid = SimGrid(h=0.5, t_end=2.0)
-        noise = noise_signal(NoiseSpec(variance=1.5, seed=0), grid)
+        def gain(x1, x2, x3):
+            return 2.0 + x1 * x3
+
+        plant = PlantModel(n=3, alpha=0.9, drift=drift, gain=gain, x0=[0.0, 0.0, 0.0], params={})
+        custom = dict(samples=(0.1, -0.3, 0.25), sample_dt=0.7) if kind == "custom" else {}
+        fault = None if kind is None else FaultSignal(kind=kind, amplitude=0.7, frequency=1.3,
+                                                      onset=0.8, **custom)
+        grid = SimGrid(h=0.25, t_end=3.0)
+        noise = noise_signal(NoiseSpec(variance=1.5, seed=0), grid) if noisy else None
         field = assemble_field(plant, fault, noise)
         x = [0.4, -0.5, 0.6]
-        for t in (0.5, 1.0, 1.5):
-            assert field.eval(t, x)[2] == drift(*x) + 2.0 * fault_value(fault, t) + noise(t)
+        for t in grid.times().tolist():  # before and after the onset
+            want = drift(*x)
+            if kind not in (None, "none"):
+                want = want + gain(*x) * fault_value(fault, t)
+            if noisy:
+                want = want + noise(t)
+            assert field.eval(t, x) == [*x[1:], want]
 
     def test_noise_held_within_step_redrawn_on_new_t(self):
         plant = arneodo()
