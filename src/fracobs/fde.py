@@ -65,6 +65,7 @@ nothing ever tries to locate the switching surface.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -137,16 +138,22 @@ class VectorField:
 
     dim: int
     eval: Callable[[float, list[float]], Sequence[float]]
-    # (name, statements, namespace) of a field made by from_statements
+    # (name, statements, namespace, grid step or None) of a field made
+    # by from_statements
     _step: Optional[tuple] = None
 
     @classmethod
-    def from_statements(cls, dim: int, name: str, lines: Sequence[str], ns: dict) -> "VectorField":
+    def from_statements(cls, dim: int, name: str, lines: Sequence[str], ns: dict,
+                        h: Optional[float] = None) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
-        and bind p0.. (``ns`` their globals): a march inlines, eval runs them."""
+        and bind p0.. (``ns`` their globals): a march inlines, eval runs them.
+        A field made on a grid of step ``h`` may also read the step index k:
+        a march binds it as its loop variable, eval as round(t / h), and
+        only a grid of that h integrates the field."""
+        k = "" if h is None else f"    k = round(t / {h!r})\n"
         body = "".join(f"    {line}\n" for line in lines)
-        source = f"def step(t, x):\n    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
-        return cls(dim, _compiled(source, name, ns, "step"), (name, tuple(lines), ns))
+        source = f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
+        return cls(dim, _compiled(source, name, ns, "step"), (name, tuple(lines), ns, h))
 
 
 @dataclass
@@ -226,9 +233,11 @@ def integrate(
     # far-field part of step k's history sum. It is the march's only
     # (n+1) x dim array: the trace is Z shifted by x0 in place.
     Z = np.zeros((n + 1, dim))
-    name, lines, glb = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval})
-    make_leaf = _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
-    leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot)
+    name, lines, glb, field_h = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval}, None)
+    if field_h is not None and field_h != h:
+        raise ValueError(f"field {name!r} was made on a grid of step {field_h!r}, grid.h is {h!r}")
+    make_leaf = _compiled(_leaf_source(dim, lines, mem >= _LEAF - 1), name, glb, "make_leaf")
+    leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot, struct.Struct(f"{dim}d").pack_into)
 
     def far_field(lo: int, mid: int, hi: int) -> None:
         # sources [s0, mid) into targets [mid, mid + nt): lags 1..ns+nt-1,
@@ -268,18 +277,23 @@ def _call_step(dim: int) -> list[str]:
             f"{_names('p', dim)}, = p"]
 
 
-def _leaf_source(dim: int, step: Sequence[str]) -> str:
+def _leaf_source(dim: int, step: Sequence[str], long_memory: bool) -> str:
     """make_leaf(...) -> leaf(lo, hi), which takes steps lo..hi-1 with
     ``step`` as the field and returns the first diverged step, or 0. At
-    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0."""
+    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0. With
+    ``long_memory`` (mem >= _LEAF - 1) no step of a leaf reaches past
+    the memory, so the near field spans the whole leaf so far."""
     def each(fmt: str, pad: int) -> str:
         return "\n".join(" " * pad + fmt.format(i=i) for i in range(dim))
 
     body = "\n".join(" " * 12 + line for line in step)
     s, z = _names("s", dim), _names("z", dim)
+    bound = repr(DIVERGENCE_BOUND)
     return f"""\
-def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot):
+def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot, pack):
     {_names("c", dim)}, = x0l
+    rows = memoryview(Z).cast("B")
+    near = [wrev[near_len - m:] for m in range(near_len + 1)]
     def leaf(lo, hi):
         far = Z[lo:hi].tolist()
         if lo == 1:
@@ -287,19 +301,18 @@ def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot):
         else:
             {z}, = Z[lo - 1].tolist()
 {each("s{i} = c{i} + z{i}", 12)}
-        for k in range(lo, hi):
+        for k, ({_names("f", dim)},) in enumerate(far, lo):
             t = k * h
 {body}
-            {_names("f", dim)}, = far[k - lo]
-            m = k - lo if k - lo < mem else mem
+            m = {"k - lo" if long_memory else "k - lo if k - lo < mem else mem"}
             if m:
-                {_names("q", dim)}, = dot(wrev[near_len - m:], Z[k - m:k]).tolist()
+                {_names("q", dim)}, = dot(near[m], Z[k - m:k]).tolist()
 {each("z{i} = ha * p{i} - (f{i} + q{i})", 16)}
             else:
 {each("z{i} = ha * p{i} - f{i}", 16)}
-            Z[k] = {z},
+            pack(rows, k * {8 * dim}, {z})
 {each("s{i} = c{i} + z{i}", 12)}
-            if not ({" and ".join(f"abs(s{i}) <= {DIVERGENCE_BOUND!r}" for i in range(dim))}):
+            if not ({" and ".join(f"-{bound} <= s{i} <= {bound}" for i in range(dim))}):
                 return k
         return 0
     return leaf

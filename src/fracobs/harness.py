@@ -42,7 +42,7 @@ from .metrics import (
     sup_error,
 )
 from .observers import ObserverDynamics
-from .plants import PlantModel, fault_value, held_signal
+from .plants import PlantModel, fault_value, held_column
 
 __all__ = [
     "run_experiment",
@@ -129,26 +129,45 @@ def _compute_metrics(
 # ---------------------------------------------------------------------------
 # experiment drivers
 
+def _fault_on_grid(cfg: ExperimentConfig) -> np.ndarray:
+    """The true fault at every grid point; k * h is grid.times()'s
+    float(k) * h, so entry k is the fault at t_k."""
+    grid = cfg.build_grid()
+    rows, h, fault = grid.n_steps + 1, grid.h, cfg.fault
+    return np.fromiter((fault_value(fault, k * h) for k in range(rows)), float, rows)
+
+
 def _run_field(cfg: ExperimentConfig, plant: PlantModel, observers,
-               y_rec: Optional[np.ndarray] = None) -> VectorField:
-    """A run's field as generated statements: the plant's own
-    (``PlantModel.statements``) with y = s0 (co-simulation); or, given
-    ``y_rec`` (a replay), y is the recorded output held per step
-    (``held_signal``). Then each observer's block, which reads nothing
+               y_rec: Optional[np.ndarray] = None,
+               f_true: Optional[np.ndarray] = None) -> VectorField:
+    """A run's field as generated statements on the config's grid: the
+    plant's own (``PlantModel.statements``) with y = s0 (co-simulation),
+    its forcing read by step index from the fault on the grid (``f_true``,
+    computed when not given) and the held noise column; or, given
+    ``y_rec`` (a replay), y is the recorded output's held column
+    (``held_column``). Then each observer's block, which reads nothing
     but y."""
     ns: dict = {}
     if y_rec is None:
-        lines = plant.statements(cfg.fault, cfg.build_noise(), ns)
+        fault = noise = None
+        if cfg.fault is not None:
+            ns["fault_col"] = memoryview(_fault_on_grid(cfg) if f_true is None else f_true)
+            fault = "fault_col[k]"
+        draws = cfg.build_noise_draws()
+        if draws is not None:
+            ns["noise_col"] = held_column(draws)
+            noise = "noise_col[k]"
+        lines = plant.statements(fault, noise, ns)
         y, lo, kind = "s0", plant.n, ""
     else:
-        ns["y_at"] = held_signal(y_rec, cfg.build_grid().h)
-        lines = ["y = y_at(t)"]
+        ns["y_col"] = held_column(y_rec)
+        lines = ["y = y_col[k]"]
         y, lo, kind = "y", 0, "replay "
     for obs in observers:
         lines += obs.statements(y, lo, ns)
         lo += obs.dim
     name = f"{cfg.name}/{kind}{'+'.join(obs.variant for obs in observers)}"
-    return VectorField.from_statements(lo, name, lines, ns)
+    return VectorField.from_statements(lo, name, lines, ns, cfg.h)
 
 
 def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsReport]]:
@@ -165,11 +184,8 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     n = plant.n
     observers = [cfg.build_observer(variant, plant) for variant in variants]
     x0 = np.concatenate([plant.x0, *(cfg.build_init_state(variant, n) for variant in variants)])
-    raw = integrate(_run_field(cfg, plant, observers), plant.alpha, grid, x0)
-    # k * h is grid.times()'s float(k) * h, so this is the fault at t_k
-    rows, h = grid.n_steps + 1, grid.h
-    fault = cfg.fault
-    f_true = np.fromiter((fault_value(fault, k * h) for k in range(rows)), float, rows)
+    f_true = _fault_on_grid(cfg)
+    raw = integrate(_run_field(cfg, plant, observers, f_true=f_true), plant.alpha, grid, x0)
     ends = np.cumsum([n, *(obs.dim for obs in observers)])
     traces = [_enrich(raw, n, f_true, obs, raw.values[:, a:b])
               for obs, a, b in zip(observers, ends, ends[1:])]

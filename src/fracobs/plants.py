@@ -48,6 +48,7 @@ __all__ = [
     "PLANT_PRESETS",
     "fault_value",
     "noise_draws",
+    "held_column",
     "held_signal",
     "noise_signal",
     "assemble_field",
@@ -86,20 +87,24 @@ class PlantModel:
     def b(self, x):
         return self.gain(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
-    def statements(self, fault: Optional[FaultSignal], noise: Optional[Callable[[float], float]], ns: dict) -> list[str]:
-        """The chain as statements that read s0.. and t and bind p0..: p_i =
+    def statements(self, fault: Optional[str], noise: Optional[str], ns: dict) -> list[str]:
+        """The chain as statements that read s0.. and bind p0..: p_i =
         s_{i+1}, and the last component drift(s0, ..), plus gain(s0, ..) *
-        fault_value(fault, t) for a fault of any kind but none, plus noise(t)
-        when there is noise. The callables they call go into ``ns``."""
+        ``fault`` given a fault term, plus ``noise`` given a noise term.
+        The two terms are expressions (say "noise(t)" or "noise_col[k]")
+        whose names the caller binds in ``ns``; the plant puts its drift and
+        gain there. A unit gain is left out, as f * 1.0 == f exactly."""
         x = ", ".join(f"s{i}" for i in range(self.n))
         drive = f"drift({x})"
         ns["drift"] = self.drift
-        if fault is not None and fault.kind != "none":
-            drive += f" + gain({x}) * fault_value(fault, t)"
-            ns.update(gain=self.gain, fault_value=fault_value, fault=fault)
+        if fault is not None:
+            if self.gain is _unit_gain:
+                drive += f" + {fault}"
+            else:
+                drive += f" + gain({x}) * {fault}"
+                ns["gain"] = self.gain
         if noise is not None:
-            drive += " + noise(t)"
-            ns["noise"] = noise
+            drive += f" + {noise}"
         return [*(f"p{i} = s{i + 1}" for i in range(self.n - 1)), f"p{self.n - 1} = {drive}"]
 
 
@@ -185,15 +190,23 @@ def noise_draws(spec: NoiseSpec, count: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(spec.variance), size=int(count))
 
 
+def held_column(samples) -> memoryview:
+    """Per-step samples as a column indexed by step: the step into t = k*h
+    reads entry k, which is sample k-1, and entry 0 is sample 0. This is
+    the one hold rule. The column is one entry longer than the samples, so
+    an index past the last step raises IndexError, and no step reads index
+    k - 1, which at k = 0 would wrap to the last sample."""
+    samples = np.asarray(samples, dtype=float)
+    return memoryview(np.concatenate((samples[:1], samples)))
+
+
 def held_signal(samples, h: float) -> Callable[[float], float]:
-    """Per-step samples on a grid of step h as a function of t: the step
-    into t = k*h reads sample k-1, t = 0 reads sample 0, and a t past the
-    samples raises IndexError."""
-    table = memoryview(np.ascontiguousarray(samples, dtype=float))
+    """Per-step samples on a grid of step h as a function of t: entry
+    round(t / h) of their ``held_column``."""
+    column = held_column(samples)
 
     def held(t: float) -> float:
-        k = round(t / h) - 1
-        return table[k if k > 0 else 0]
+        return column[round(t / h)]
 
     return held
 
@@ -284,5 +297,8 @@ def assemble_field(
     state; fault and noise(t) (see ``noise_signal``) enter only the last,
     as a(x) + b(x) * f(t) + noise(t). It is a pure function of (t, x).
     """
-    ns: dict = {}
-    return VectorField.from_statements(plant.n, plant.name or "plant", plant.statements(fault, noise, ns), ns)
+    ns: dict = {"fault_value": fault_value, "fault": fault, "noise": noise}
+    faulty = fault is not None and fault.kind != "none"
+    lines = plant.statements("fault_value(fault, t)" if faulty else None,
+                             None if noise is None else "noise(t)", ns)
+    return VectorField.from_statements(plant.n, plant.name or "plant", lines, ns)

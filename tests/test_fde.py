@@ -224,6 +224,40 @@ class TestDivergenceFlag:
         assert np.all(np.isnan(tr.values[2:]))
 
 
+class TestGridField:
+    """A field made on a grid reads the step index k: a march binds it as
+    its loop variable, eval as round(t / h)."""
+
+    GRID = SimGrid(h=0.01, t_end=3.0)
+
+    # a forcing column read by k, as a run reads its fault and noise
+    COLUMN = np.sin(np.arange(GRID.n_steps + 1) * 0.37).tolist()
+
+    def field(self, h):
+        return VectorField.from_statements(2, "grid-field", ["p0 = s1 + col[k]", "p1 = -s0 + t"],
+                                           {"col": self.COLUMN}, h=h)
+
+    def test_march_reads_the_step_index_as_eval_does(self):
+        step = self.field(self.GRID.h)
+        x0 = [0.5, -0.25]
+        inlined = integrate(step, 0.9, self.GRID, x0)
+        called = integrate(VectorField(step.dim, step.eval), 0.9, self.GRID, x0)
+        assert np.array_equal(inlined.values, called.values)
+
+    def test_eval_reads_entry_round_t_over_h(self):
+        step = self.field(self.GRID.h)
+        for k in (0, 1, 57, self.GRID.n_steps):
+            assert step.eval(k * self.GRID.h, [0.0, 0.0])[0] == self.COLUMN[k]
+
+    def test_field_made_on_another_h_is_rejected(self):
+        other = SimGrid(h=0.02, t_end=3.0)
+        with pytest.raises(ValueError, match="grid of step 0.01, grid.h is 0.02"):
+            integrate(self.field(self.GRID.h), 0.9, other, [0.0, 0.0])
+        # a field made without a grid reads t only and runs on any grid
+        plain = VectorField.from_statements(1, "plain", ["p0 = -s0 + t"], {})
+        assert not integrate(plain, 0.9, other, [1.0]).diverged
+
+
 def direct_gl(f, alpha, grid, x0):
     """The per-step history sum that integrate's FFT recursion replaces."""
     n, h, mem = grid.n_steps, grid.h, grid.effective_memory()

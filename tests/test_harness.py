@@ -4,6 +4,7 @@ Simulation-backed tests run short horizons on coarse grids; the long
 benchmark reproductions live in test_acceptance.py.
 """
 
+import ast
 import json
 
 import numpy as np
@@ -231,6 +232,32 @@ class TestGeneratedStep:
             assert step.eval(k * cfg.h, s) == obs.rhs_flat(y[max(k - 1, 0)], s)
         with pytest.raises(IndexError):
             step.eval((n + 2) * cfg.h, s)
+
+
+    def test_noisy_run_field_reads_draw_0_at_t_0(self):
+        # the step into t = k*h reads draw k - 1, and t = 0 draw 0, not a
+        # wrapped index -1 (the last draw)
+        cfg, plant, _, _ = self.build("example1", ())
+        step = fracobs.harness._run_field(cfg, plant, [])
+        draws = cfg.build_noise_draws()
+        n = cfg.build_grid().n_steps
+        assert draws[0] != draws[-1]
+        s = plant.x0.tolist()
+        for k, draw in ((0, draws[0]), (1, draws[0]), (2, draws[1]), (n, draws[n - 1])):
+            want = plant.drift(*s) + fault_value(cfg.fault, k * cfg.h) + draw
+            assert step.eval(k * cfg.h, s) == [*s[1:], want]
+
+    def test_run_step_calls_no_forcing_function(self):
+        # the co-simulation reads its fault and noise from grid columns by
+        # step index; the plant's unit gain is left out of the step
+        cfg, plant, _, _ = self.build("example1", ("proposed",))
+        step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer("proposed", plant)])
+        _, lines, ns, h = step._step
+        called = {node.func.id for node in ast.walk(ast.parse("\n".join(lines)))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert called.isdisjoint({"fault_value", "noise", "gain"})
+        assert "fault_col[k]" in lines[plant.n - 1] and "noise_col[k]" in lines[plant.n - 1]
+        assert h == cfg.h
 
 
 class TestCompare:

@@ -12,10 +12,12 @@ from fracobs.plants import (
     FaultSignal,
     NoiseSpec,
     PlantModel,
+    _unit_gain,
     arneodo,
     assemble_field,
     fault_value,
     genesio_tesi,
+    held_column,
     held_signal,
     noise_draws,
     noise_signal,
@@ -173,28 +175,32 @@ class TestNoise:
         drawn = np.array([noise(k * grid.h) for k in range(1, count + 1)])
         assert drawn.tobytes() == noise_draws(spec, count).tobytes()
 
-    @pytest.mark.parametrize("source", ["noise_signal", "held_signal", "strided"])
+    @pytest.mark.parametrize("source", ["noise_signal", "held_signal", "strided", "column",
+                                        "strided column"])
     def test_ends_of_the_table_do_not_wrap(self, source):
         # the noise is its draws held per step; a held column of a wider
-        # array (as a trace channel is) reads the same floats as its copy
+        # array (as a trace channel is) reads the same floats as its copy.
+        # Entry k of the hold column is what the step into t = k*h reads.
         spec = NoiseSpec(variance=1.5, seed=0)
         grid = SimGrid(h=0.01, t_end=1.0)
         n = grid.n_steps
         draws = noise_draws(spec, n)
-        if source == "noise_signal":
-            held = noise_signal(spec, grid)
-        elif source == "held_signal":
-            held = held_signal(draws, grid.h)
+        block = np.zeros((n, 3))
+        block[:, 1] = draws
+        assert not block[:, 1].flags.c_contiguous
+        samples = block[:, 1] if source.startswith("strided") else draws
+        if source.endswith("column"):
+            column = held_column(samples)
+            assert len(column) == n + 1
+            at = column.__getitem__
         else:
-            block = np.zeros((n, 3))
-            block[:, 1] = draws
-            assert not block[:, 1].flags.c_contiguous
-            held = held_signal(block[:, 1], grid.h)
-        assert held(0.0) == draws[0] != draws[-1]
-        assert [held(k * grid.h) for k in range(1, n + 1)] == draws.tolist()
-        assert held(grid.t_end) == draws[n - 1]
+            held = noise_signal(spec, grid) if source == "noise_signal" else held_signal(samples, grid.h)
+            at = lambda k: held(k * grid.h)
+        assert at(0) == draws[0] != draws[-1]
+        assert [at(k) for k in range(1, n + 1)] == draws.tolist()
+        assert at(n) == draws[n - 1]
         with pytest.raises(IndexError):
-            held(grid.t_end + grid.h)
+            at(n + 1)
 
     def test_seed_determinism(self):
         a = noise_draws(NoiseSpec(variance=1.5, seed=3), 100)
@@ -236,16 +242,20 @@ class TestAssembleField:
         expect = noise_draws(NoiseSpec(variance=1.5, seed=0), 1)[0]
         assert d1[2] == d0[2] + expect
 
+    @pytest.mark.parametrize("unit", [False, True], ids=["state-gain", "unit-gain"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("kind", [*FAULT_KINDS, None])
-    def test_gain_scales_the_fault_but_not_the_noise(self, kind, noisy):
-        # the one plant definition, pinned by explicit arithmetic
+    def test_gain_scales_the_fault_but_not_the_noise(self, kind, noisy, unit):
+        # the one plant definition, pinned by explicit arithmetic; the
+        # statements leave a unit gain out, which this pins to the bit
         def drift(x1, x2, x3):
             return x1 * x2 - x3
 
         def gain(x1, x2, x3):
             return 2.0 + x1 * x3
 
+        if unit:
+            gain = _unit_gain
         plant = PlantModel(n=3, alpha=0.9, drift=drift, gain=gain, x0=[0.0, 0.0, 0.0], params={})
         custom = dict(samples=(0.1, -0.3, 0.25), sample_dt=0.7) if kind == "custom" else {}
         fault = None if kind is None else FaultSignal(kind=kind, amplitude=0.7, frequency=1.3,
