@@ -38,17 +38,24 @@ only the current leaf's far-field rows as Python lists.
 The leaf is generated per march from one template (``_leaf_source``)
 that unrolls the step into local floats with the operations and order
 of the array form: z_i = h^alpha * p_i - (f_i + q_i), or
-h^alpha * p_i - f_i at a leaf's first step, then Z[k] = (z_0, ...) and
-s_i = x0_i + z_i. f_i is row k of the z array, where the far field
+h^alpha * p_i - f_i at a leaf's first step, then row k of Z is z_0, ..
+and s_i = x0_i + z_i. f_i is row k of the z array, where the far field
 accumulates before step k; q_i is the near field, the step's one numpy
-call. The field supplies the statements that bind p_0.. from s_0.. and
-t: a plain ``VectorField``'s call its ``eval`` on [s_0, ...]; one made
-by ``VectorField.from_statements``, the package's one step compiler
-(plant fields, runs, ``rhs_flat``), brings its own, which its ``eval``
-also runs. The code is compiled under the file name
-``<fracobs step: name>``, so profiles and tracebacks name the field.
-The z array is the march's only (n+1) x dim array: once the march ends
-it is shifted by x0 in place and becomes the trace.
+call, on a weight view kept per lag. The row is stored by packing the
+floats into a byte view of the z array (``struct.pack_into``), which
+writes the same doubles as an array assignment without building one.
+The divergence test is -B <= s_i <= B for each component: like
+|s_i| <= B it is false for NaN and +-inf and true for -0.0, with no call.
+The field supplies the statements that bind p_0.. from s_0.., t = k*h
+and the step index k: a plain ``VectorField``'s call its ``eval`` on
+[s_0, ...]; one made by ``VectorField.from_statements``, the package's
+one step compiler (plant fields, runs, ``rhs_flat``), brings its own,
+which its ``eval`` also runs. Only a field made on a grid (given h) may
+read k, which its ``eval`` binds as round(t / h); a run reads its
+forcing that way, from columns indexed by step. The code is compiled
+under the file name ``<fracobs step: name>``, so profiles and tracebacks
+name the field. The z array is the march's only (n+1) x dim array: once
+the march ends it is shifted by x0 in place and becomes the trace.
 
 The FFT changes the summation order, not the sum. Against the per-step
 sum, trajectories of damped linear fields agree to about 1e-14 relative
@@ -150,7 +157,7 @@ class VectorField:
         A field made on a grid of step ``h`` may also read the step index k:
         a march binds it as its loop variable, eval as round(t / h), and
         only a grid of that h integrates the field."""
-        k = "" if h is None else f"    k = round(t / {h!r})\n"
+        k = "" if h is None else f"    k = round(t / {float(h)!r})\n"
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
         return cls(dim, _compiled(source, name, ns, "step"), (name, tuple(lines), ns, h))

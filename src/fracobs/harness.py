@@ -5,18 +5,23 @@ fair two-observer comparison.
 ``_cosimulate``. It writes one augmented vector field as statements
 (``_run_field``: ``PlantModel.statements``, then one observer block per
 distinct variant), which ``fde.integrate`` inlines into its leaf, and
-integrates it once on a shared grid. The only plant signal entering an
-observer block is the measured output x1, taken from the previous grid
-point exactly as the explicit stepper sees every other state, so both
+integrates it once on a shared grid. The field is made on that grid, so
+its step reads the forcing by step index k with no per-step call: the
+true fault from f_true (``fault_value`` at t_k, computed once before the
+march and written to the traces) and the noise from its held column
+(``plants.held_column``). The only plant signal entering an observer
+block is the measured output x1, taken from the previous grid point
+exactly as the explicit stepper sees every other state, so both
 observers of a comparison read the same output stream (same noise draw)
 in the same march. The comparison then re-evaluates their fault-estimate
 metrics on a common time window before declaring a winner.
 
 ``replay_observer`` drives one observer from a recorded output stream
-alone, held per step by ``plants.held_signal`` as the noise is, through
-the same statements, so it is no independent reference: the tests check
-the observer blocks against the per-pair form (one ``_pair`` call per
-pair) and the plant's statements against their explicit arithmetic.
+alone, read by step from its ``plants.held_column`` as the noise is,
+through the same statements, so it is no independent reference: the
+tests check the observer blocks against the per-pair form (one ``_pair``
+call per pair) and the plant's statements against their explicit
+arithmetic.
 
 ``trace_columns`` is the one channel schema: the CSV header, and in the
 same order the labels of every enriched trace, which holds the plant

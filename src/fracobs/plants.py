@@ -23,9 +23,14 @@ on Python floats for the per-step field, and ``PlantModel.a(x)`` unpacks
 the last axis of an array into the same expression, so x may be shape
 (n,) or (rows, n) and the harness reads out whole trace columns with it.
 
-``PlantModel.statements`` writes the chain's step once (``assemble_field``
-compiles it, a harness run inlines it), and ``held_signal`` is the one
-per-step hold of samples in t, for the noise and a replay's output.
+``PlantModel.statements`` writes the chain's step once, with the fault
+and noise terms as expressions the caller binds: ``assemble_field``
+compiles it reading fault_value(fault, t) and noise(t), and a harness
+run inlines it reading the fault on the grid and the noise from columns
+by step index. ``held_column`` is the one per-step hold of samples
+(entry k, what the step into t = k*h reads, is sample k-1; entry 0 is
+sample 0), for the noise and a replay's output; ``held_signal`` reads
+it at round(t / h).
 """
 
 from __future__ import annotations
@@ -202,11 +207,13 @@ def held_column(samples) -> memoryview:
 
 def held_signal(samples, h: float) -> Callable[[float], float]:
     """Per-step samples on a grid of step h as a function of t: entry
-    round(t / h) of their ``held_column``."""
+    round(t / h) of their ``held_column``, and entry 0 for a t before the
+    grid, whose negative index would wrap."""
     column = held_column(samples)
 
     def held(t: float) -> float:
-        return column[round(t / h)]
+        k = round(t / h)
+        return column[k if k > 0 else 0]
 
     return held
 

@@ -233,7 +233,6 @@ class TestGeneratedStep:
         with pytest.raises(IndexError):
             step.eval((n + 2) * cfg.h, s)
 
-
     def test_noisy_run_field_reads_draw_0_at_t_0(self):
         # the step into t = k*h reads draw k - 1, and t = 0 draw 0, not a
         # wrapped index -1 (the last draw)
@@ -252,7 +251,7 @@ class TestGeneratedStep:
         # step index; the plant's unit gain is left out of the step
         cfg, plant, _, _ = self.build("example1", ("proposed",))
         step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer("proposed", plant)])
-        _, lines, ns, h = step._step
+        _, lines, _, h = step._step
         called = {node.func.id for node in ast.walk(ast.parse("\n".join(lines)))
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert called.isdisjoint({"fault_value", "noise", "gain"})

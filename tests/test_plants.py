@@ -196,6 +196,7 @@ class TestNoise:
         else:
             held = noise_signal(spec, grid) if source == "noise_signal" else held_signal(samples, grid.h)
             at = lambda k: held(k * grid.h)
+            assert held(-grid.h) == draws[0]  # a t before the grid does not wrap either
         assert at(0) == draws[0] != draws[-1]
         assert [at(k) for k in range(1, n + 1)] == draws.tolist()
         assert at(n) == draws[n - 1]
@@ -242,8 +243,8 @@ class TestAssembleField:
         expect = noise_draws(NoiseSpec(variance=1.5, seed=0), 1)[0]
         assert d1[2] == d0[2] + expect
 
-    @pytest.mark.parametrize("unit", [False, True], ids=["state-gain", "unit-gain"])
-    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("noisy, unit", [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["clean", "noisy", "clean-unit-gain", "noisy-unit-gain"])
     @pytest.mark.parametrize("kind", [*FAULT_KINDS, None])
     def test_gain_scales_the_fault_but_not_the_noise(self, kind, noisy, unit):
         # the one plant definition, pinned by explicit arithmetic; the
