@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .fde import FULL_MEMORY, SimGrid
 from .observers import DEFAULT_EPSILON, VARIANTS, ObserverDynamics, required_gain_count, state_dim
 from .plants import (FAULT_KINDS, PLANT_PRESETS, FaultSignal, NoiseSpec, PlantModel,
-                     held_signal, noise_draws, plant_preset)
+                     noise_draws, noise_signal, plant_preset)
 
 __all__ = [
     "ExperimentConfig",
@@ -261,10 +261,11 @@ class ExperimentConfig:
         return noise_draws(NoiseSpec(seed=self.seed, **noise), self.build_grid().n_steps)
 
     def build_noise(self) -> Optional[Callable[[float], float]]:
-        """The seeded noise as a function of t on this config's grid: its
-        draws held per step, as ``noise_signal`` holds them."""
-        draws = self.build_noise_draws()
-        return None if draws is None else held_signal(draws, self.h)
+        """The seeded noise as a function of t on this config's grid."""
+        noise = self._canon.get("noise")
+        if noise is None:
+            return None
+        return noise_signal(NoiseSpec(seed=self.seed, **noise), self.build_grid())
 
     def build_gains(self, variant: str, n: int) -> tuple[tuple, tuple]:
         """The (lambdas, alphas) a ``variant`` observer of an n-plant runs on:

@@ -154,6 +154,8 @@ class VectorField:
                         h: Optional[float] = None) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
         and bind p0.. (``ns`` their globals): a march inlines, eval runs them.
+        Any other name they bind is a temporary of the step, and must not be
+        one that the generated leaf uses (``_leaf_source``).
         A field made on a grid of step ``h`` may also read the step index k:
         a march binds it as its loop variable, eval as round(t / h), and
         only a grid of that h integrates the field."""
@@ -243,7 +245,7 @@ def integrate(
     name, lines, glb, field_h = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval}, None)
     if field_h is not None and field_h != h:
         raise ValueError(f"field {name!r} was made on a grid of step {field_h!r}, grid.h is {h!r}")
-    make_leaf = _compiled(_leaf_source(dim, lines, mem >= _LEAF - 1), name, glb, "make_leaf")
+    make_leaf = _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
     leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot, struct.Struct(f"{dim}d").pack_into)
 
     def far_field(lo: int, mid: int, hi: int) -> None:
@@ -284,12 +286,10 @@ def _call_step(dim: int) -> list[str]:
             f"{_names('p', dim)}, = p"]
 
 
-def _leaf_source(dim: int, step: Sequence[str], long_memory: bool) -> str:
+def _leaf_source(dim: int, step: Sequence[str]) -> str:
     """make_leaf(...) -> leaf(lo, hi), which takes steps lo..hi-1 with
     ``step`` as the field and returns the first diverged step, or 0. At
-    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0. With
-    ``long_memory`` (mem >= _LEAF - 1) no step of a leaf reaches past
-    the memory, so the near field spans the whole leaf so far."""
+    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0."""
     def each(fmt: str, pad: int) -> str:
         return "\n".join(" " * pad + fmt.format(i=i) for i in range(dim))
 
@@ -308,10 +308,11 @@ def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot, pack):
         else:
             {z}, = Z[lo - 1].tolist()
 {each("s{i} = c{i} + z{i}", 12)}
-        for k, ({_names("f", dim)},) in enumerate(far, lo):
+        for k, frow in enumerate(far, lo):
             t = k * h
 {body}
-            m = {"k - lo" if long_memory else "k - lo if k - lo < mem else mem"}
+            {_names("f", dim)}, = frow
+            m = k - lo if k - lo < mem else mem
             if m:
                 {_names("q", dim)}, = dot(near[m], Z[k - m:k]).tolist()
 {each("z{i} = ha * p{i} - (f{i} + q{i})", 16)}

@@ -143,20 +143,19 @@ def _fault_on_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _run_field(cfg: ExperimentConfig, plant: PlantModel, observers,
-               y_rec: Optional[np.ndarray] = None,
-               f_true: Optional[np.ndarray] = None) -> VectorField:
+               f_true: Optional[np.ndarray], y_rec: Optional[np.ndarray] = None) -> VectorField:
     """A run's field as generated statements on the config's grid: the
     plant's own (``PlantModel.statements``) with y = s0 (co-simulation),
     its forcing read by step index from the fault on the grid (``f_true``,
-    computed when not given) and the held noise column; or, given
-    ``y_rec`` (a replay), y is the recorded output's held column
-    (``held_column``). Then each observer's block, which reads nothing
-    but y."""
+    see ``_fault_on_grid``) and the held noise column; or, given ``y_rec``
+    (a replay, which passes no f_true), y is the recorded output's held
+    column (``held_column``). Then each observer's block, which reads
+    nothing but y."""
     ns: dict = {}
     if y_rec is None:
         fault = noise = None
         if cfg.fault is not None:
-            ns["fault_col"] = memoryview(_fault_on_grid(cfg) if f_true is None else f_true)
+            ns["fault_col"] = memoryview(f_true)
             fault = "fault_col[k]"
         draws = cfg.build_noise_draws()
         if draws is not None:
@@ -190,7 +189,7 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     observers = [cfg.build_observer(variant, plant) for variant in variants]
     x0 = np.concatenate([plant.x0, *(cfg.build_init_state(variant, n) for variant in variants)])
     f_true = _fault_on_grid(cfg)
-    raw = integrate(_run_field(cfg, plant, observers, f_true=f_true), plant.alpha, grid, x0)
+    raw = integrate(_run_field(cfg, plant, observers, f_true), plant.alpha, grid, x0)
     ends = np.cumsum([n, *(obs.dim for obs in observers)])
     traces = [_enrich(raw, n, f_true, obs, raw.values[:, a:b])
               for obs, a, b in zip(observers, ends, ends[1:])]
@@ -228,7 +227,7 @@ def replay_observer(
         raise ValueError(
             f"recorded output has shape {y_rec.shape}, grid wants ({grid.n_steps + 1},)"
         )
-    return integrate(_run_field(cfg, plant, [obs], y_rec), plant.alpha, grid, init, labels=obs.labels)
+    return integrate(_run_field(cfg, plant, [obs], None, y_rec), plant.alpha, grid, init, labels=obs.labels)
 
 
 @dataclass

@@ -171,7 +171,8 @@ class TestGeneratedStep:
         def field():
             if not variants:
                 return assemble_field(plant, cfg.fault, cfg.build_noise())
-            return fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants])
+            return fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants],
+                                              fracobs.harness._fault_on_grid(cfg))
 
         return cfg, plant, x0, field
 
@@ -226,7 +227,7 @@ class TestGeneratedStep:
         n = cfg.build_grid().n_steps
         y = np.arange(n + 1) * 0.01
         rec = np.column_stack([-y, y])[:, 1] if strided else y
-        step = fracobs.harness._run_field(cfg, plant, [obs], rec)
+        step = fracobs.harness._run_field(cfg, plant, [obs], None, rec)
         s = [0.0] * obs.dim
         for k in (0, 1, 2, 57, n, n + 1):
             assert step.eval(k * cfg.h, s) == obs.rhs_flat(y[max(k - 1, 0)], s)
@@ -237,7 +238,7 @@ class TestGeneratedStep:
         # the step into t = k*h reads draw k - 1, and t = 0 draw 0, not a
         # wrapped index -1 (the last draw)
         cfg, plant, _, _ = self.build("example1", ())
-        step = fracobs.harness._run_field(cfg, plant, [])
+        step = fracobs.harness._run_field(cfg, plant, [], fracobs.harness._fault_on_grid(cfg))
         draws = cfg.build_noise_draws()
         n = cfg.build_grid().n_steps
         assert draws[0] != draws[-1]
@@ -250,7 +251,8 @@ class TestGeneratedStep:
         # the co-simulation reads its fault and noise from grid columns by
         # step index; the plant's unit gain is left out of the step
         cfg, plant, _, _ = self.build("example1", ("proposed",))
-        step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer("proposed", plant)])
+        step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer("proposed", plant)],
+                                          fracobs.harness._fault_on_grid(cfg))
         _, lines, _, h = step._step
         called = {node.func.id for node in ast.walk(ast.parse("\n".join(lines)))
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
