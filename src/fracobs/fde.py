@@ -49,7 +49,7 @@ The divergence test is -B <= s_i <= B for each component: like
 The field supplies the statements that bind p_0.. from s_0.., t = k*h
 and the step index k: a plain ``VectorField``'s call its ``eval`` on
 [s_0, ...]; one made by ``VectorField.from_statements``, the package's
-one step compiler (plant fields, runs, ``rhs_flat``), brings its own,
+one step compiler (plant fields, runs, observer blocks), brings its own,
 which its ``eval`` also runs. Only a field made on a grid (given h) may
 read k, which its ``eval`` binds as round(t / h); a run reads its
 forcing that way, from columns indexed by step. The code is compiled

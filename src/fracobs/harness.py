@@ -6,10 +6,11 @@ fair two-observer comparison.
 (``_run_field``: ``PlantModel.statements``, then one observer block per
 distinct variant), which ``fde.integrate`` inlines into its leaf, and
 integrates it once on a shared grid. The field is made on that grid, so
-its step reads the forcing by step index k with no per-step call: the
-true fault from f_true (``fault_value`` at t_k, computed once before the
-march and written to the traces) and the noise from its held column
-(``plants.held_column``). The only plant signal entering an observer
+its step reads the forcing by step index k: the true fault from f_true
+(``fault_value`` at t_k, computed once before the march and written to
+the traces) and the noise from its held column (``plants.held_column``).
+With the drift written in as text, a bundled preset's step calls only
+abs, sqrt and copysign. The only plant signal entering an observer
 block is the measured output x1, taken from the previous grid point
 exactly as the explicit stepper sees every other state, so both
 observers of a comparison read the same output stream (same noise draw)
@@ -283,8 +284,10 @@ class ComparisonResult:
                 f"{'common sup_error'.ljust(width)}"
                 f"{_fmt(self.common_sup_error[va]):>18}{_fmt(self.common_sup_error[vb]):>18}"
             )
-        lines.append(f"verdict: {va} beats {vb} on chattering_index: {self.wins_chattering}")
-        lines.append(f"verdict: {va} beats {vb} on sup_error_post_settle: {self.wins_sup_error}")
+        for metric, wins in (("chattering_index", self.wins_chattering),
+                             ("sup_error_post_settle", self.wins_sup_error)):
+            verdict = "undecided" if self.common_from_t is None else wins  # no window, no loss
+            lines.append(f"verdict: {va} beats {vb} on {metric}: {verdict}")
         return "\n".join(lines) + "\n"
 
 

@@ -31,9 +31,9 @@ fault estimate.
 
 ``ObserverDynamics`` alone reads that layout. ``statements`` writes the
 chain as Python statements, every pair in the one formula of ``_pair``
-(which ``fsta_rhs`` calls); a run inlines them into its march with a
-latch of its own, and ``rhs_flat`` is compiled from them. ``channels``
-writes a recorded block's named columns into a trace.
+(which ``fsta_rhs`` calls); a run inlines them into its march, with a
+latch of its own. ``channels`` writes a recorded block's named columns
+into a trace.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from math import copysign, sqrt
 import numpy as np
 
 from .errors import SingularGainError
-from .fde import VectorField
 from .fraccalc import _as_order, gamma
 from .plants import PlantModel
 
@@ -170,11 +169,11 @@ class ObserverDynamics:
 
     ``lambdas`` and ``alphas`` hold one strictly positive gain per pair
     (n baseline, n+1 proposed); ``epsilon`` > 0 is the gate tolerance.
-    ``rhs_flat`` computes the errors and gates from the current flat state
-    and runs the chain; ``channels`` writes a whole recorded block back
-    as the named columns ``channel_labels``. In latching mode a gate stays
-    open once it has opened (the count of open gates never falls): over a
-    run's march, and over ``rhs_flat``'s calls until reset().
+    ``statements`` writes the chain, which computes the errors and gates
+    from the current flat state; ``channels`` writes a whole recorded
+    block back as the named columns ``channel_labels``. In latching mode
+    a gate stays open once it has opened (the count of open gates never
+    falls) over a run's march.
     """
 
     def __init__(
@@ -213,35 +212,12 @@ class ObserverDynamics:
         # the proposed n-th pair's second variable gets the known drift added
         self._drift_pair = plant.n - 1 if variant == "proposed" else None
         self._lam, self._alp, self._eps = lam, alp, epsilon
-        self.reset()
-
-    def reset(self) -> None:
-        self._rhs = None  # rhs_flat recompiles at its next call, unlatched
-
-    def rhs_flat(self, y: float, flat) -> list[float]:
-        """Derivative of the flat state (layout in the module docstring).
-
-        ``flat`` is a sequence of floats: a list, or an array row. Pair
-        j+1 runs while gate E_j is open; the first pair always runs. The
-        ``statements`` run, compiled at the first call; a latch holds until
-        ``reset``.
-        """
-        if len(flat) != self.dim:
-            raise ValueError(
-                f"flat state has {len(flat)} entries, {self.variant} observer "
-                f"with n={self.n} needs {self.dim}"
-            )
-        if self._rhs is None:
-            ns: dict = {}
-            lines = ["y = t", *self.statements("y", 0, ns)]
-            self._rhs = VectorField.from_statements(self.dim, f"{self.variant} observer", lines, ns).eval
-        return self._rhs(y, flat)
 
     def statements(self, y: str, base: int, ns: dict) -> list[str]:
         """The chain as statements on the block at slot ``base``: they read
         the output ``y`` (a name) and s{base}.., and bind p{base}.. by
         ``_pair``'s formula (0.0 past the open gates). Gains, epsilon, the
-        drift and a latch cell (when latching) go into ``ns``."""
+        drift's params and a latch cell (when latching) go into ``ns``."""
         b, pairs = base, len(self._lam)
         s, p = ([f"{c}{b + i}" for i in range(self.dim)] for c in "sp")
         e = [f"e{b}_{j}" for j in range(pairs)]
@@ -263,8 +239,7 @@ class ObserverDynamics:
             v = s[2 * j + 1]
             if j == self._drift_pair:
                 # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
-                ns[f"drift{b}"] = self.plant.drift
-                v = f"drift{b}({', '.join([y, *s[1:2 * j:2]])}) + {v}"
+                v = f"{self.plant.drift_of([y, *s[1:2 * j:2]], ns)} + {v}"
             pair = [
                 f"g = 0.0 if {e[j]} == 0.0 else copysign(1.0, {e[j]})",
                 f"{p[2 * j]} = {v} + lam{b}_{j} * sqrt(abs({e[j]})) * g",

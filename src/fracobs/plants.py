@@ -18,10 +18,8 @@ a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^p (``_chain_plant``):
 * ``arneodo``      -- p = 3, betas (-5.5, 3.5, 0.8, -1.0), alpha 0.97.
 * ``genesio_tesi`` -- p = 2, betas (1.0, 1.1, 0.44, 1.0), alpha 0.9.
 
-The chain writes its drift once, over components: ``drift(x1, .., xn)``
-on Python floats for the per-step field, and ``PlantModel.a(x)`` unpacks
-the last axis of an array into the same expression, so x may be shape
-(n,) or (rows, n) and the harness reads out whole trace columns with it.
+A plant's drift is one expression text (``PlantModel.drift``), which the
+generated statements and ``drift_at``, on floats or arrays, both read.
 
 ``PlantModel.statements`` writes the chain's step once, with the fault
 and noise terms as expressions the caller binds: ``assemble_field``
@@ -29,13 +27,14 @@ compiles it reading fault_value(fault, t) and noise(t), and a harness
 run inlines it reading the fault on the grid and the noise from columns
 by step index. ``held_column`` is the one per-step hold of samples
 (entry k, what the step into t = k*h reads, is sample k-1; entry 0 is
-sample 0), for the noise and a replay's output; ``held_signal`` reads
-it at round(t / h).
+sample 0), for the noise and a replay's output; ``noise_signal`` reads
+the noise's column at round(t / h).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -54,7 +53,6 @@ __all__ = [
     "fault_value",
     "noise_draws",
     "held_column",
-    "held_signal",
     "noise_signal",
     "assemble_field",
 ]
@@ -66,14 +64,15 @@ FAULT_KINDS = ("none", "cosine", "sine", "step", "ramp", "custom")
 class PlantModel:
     """Observable-form plant of dimension n with drift a and input gain b.
 
-    ``drift`` and ``gain`` take the n state components as separate
-    arguments (floats, or equal-shape arrays); ``a`` and ``b`` apply them
-    to the last axis of an array.
+    ``drift`` is a(x) as one expression over x1..xn and the names of
+    ``params`` (none a step's own, such as t or k). ``drift_at``, compiled
+    from it, and ``gain`` take the n components as arguments (floats or
+    arrays); ``a`` and ``b`` apply them to the last axis of an array.
     """
 
     n: int
     alpha: float
-    drift: Callable[..., float]
+    drift: str
     gain: Callable[..., float]
     x0: np.ndarray
     params: dict
@@ -85,28 +84,36 @@ class PlantModel:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.n,):
             raise ValueError(f"x0 shape {self.x0.shape} does not match n={self.n}")
+        x, ns = [f"x{i}" for i in range(1, self.n + 1)], {}
+        self.drift_at = eval(f"lambda {', '.join(x)}: {self.drift_of(x, ns)}", ns)
+
+    def drift_of(self, args: Sequence[str], ns: dict) -> str:
+        """The drift as a parenthesized expression over the names ``args``
+        (x_i becomes "(args[i-1])"); the ``params`` it reads go into ``ns``."""
+        ns.update(self.params)
+        names = {f"x{i}": f"({a})" for i, a in enumerate(args, 1)}
+        return "(" + re.sub(r"\bx\d+\b", lambda m: names[m[0]], self.drift) + ")"
 
     def a(self, x):
-        return self.drift(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        return self.drift_at(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
     def b(self, x):
         return self.gain(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
     def statements(self, fault: Optional[str], noise: Optional[str], ns: dict) -> list[str]:
         """The chain as statements that read s0.. and bind p0..: p_i =
-        s_{i+1}, and the last component drift(s0, ..), plus gain(s0, ..) *
+        s_{i+1}, and the last component the drift, plus gain(s0, ..) *
         ``fault`` given a fault term, plus ``noise`` given a noise term.
         The two terms are expressions (say "noise(t)" or "noise_col[k]")
-        whose names the caller binds in ``ns``; the plant puts its drift and
-        gain there. A unit gain is left out, as f * 1.0 == f exactly."""
-        x = ", ".join(f"s{i}" for i in range(self.n))
-        drive = f"drift({x})"
-        ns["drift"] = self.drift
+        whose names the caller binds in ``ns``; the plant puts its params
+        and gain there. A unit gain is left out, as f * 1.0 == f exactly."""
+        x = [f"s{i}" for i in range(self.n)]
+        drive = self.drift_of(x, ns)
         if fault is not None:
             if self.gain is _unit_gain:
                 drive += f" + {fault}"
             else:
-                drive += f" + gain({x}) * {fault}"
+                drive += f" + gain({', '.join(x)}) * {fault}"
                 ns["gain"] = self.gain
         if noise is not None:
             drive += f" + {noise}"
@@ -205,23 +212,17 @@ def held_column(samples) -> memoryview:
     return memoryview(np.concatenate((samples[:1], samples)))
 
 
-def held_signal(samples, h: float) -> Callable[[float], float]:
-    """Per-step samples on a grid of step h as a function of t: entry
-    round(t / h) of their ``held_column``, and entry 0 for a t before the
-    grid, whose negative index would wrap."""
-    column = held_column(samples)
+def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
+    """The noise on ``grid`` as a function of t: entry round(t / h) of the
+    ``held_column`` of ``noise_draws(spec, grid.n_steps)``, and entry 0 for
+    a t before the grid, whose negative index would wrap."""
+    column, h = held_column(noise_draws(spec, grid.n_steps)), grid.h
 
-    def held(t: float) -> float:
+    def noise(t: float) -> float:
         k = round(t / h)
         return column[k if k > 0 else 0]
 
-    return held
-
-
-def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
-    """The noise on ``grid`` as a function of t: ``noise_draws(spec,
-    grid.n_steps)`` held per step (``held_signal``)."""
-    return held_signal(noise_draws(spec, grid.n_steps), grid.h)
+    return noise
 
 
 def _unit_gain(*x) -> float:
@@ -234,19 +235,12 @@ def _chain_plant(name: str, power: int, alpha: float, betas: Sequence[float],
 
     The power (2 or 3) is a left-to-right product, so floats and arrays
     run the same IEEE operations (float ``**`` calls the C library's pow).
+    The betas are read from ``params``, as literals could not write nan.
     """
     b = tuple(float(v) for v in betas)
     if len(b) != 4:
         raise ValueError(f"{name} needs 4 betas, got {len(b)}")
-    b1, b2, b3, b4 = b
-
-    if power == 2:
-        def drift(x1, x2, x3):
-            return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * (x1 * x1)
-    else:
-        def drift(x1, x2, x3):
-            return -b1 * x1 - b2 * x2 - b3 * x3 + b4 * (x1 * x1 * x1)
-
+    drift = f"-betas[0] * x1 - betas[1] * x2 - betas[2] * x3 + betas[3] * (x1{' * x1' * (power - 1)})"
     return PlantModel(
         n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
         params={"betas": b}, name=name,

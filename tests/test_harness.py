@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracobs.harness
+from conftest import rhs_flat
 from fracobs.cli import main
 from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
@@ -154,8 +155,8 @@ class TestGeneratedStep:
     """The run's field is generated statements (``harness._run_field``),
     and so is a plant-only field (``assemble_field``): a march that
     inlines them equals one that calls their ``eval`` per step, and a
-    run's ``eval`` equals the plant field plus each observer's
-    ``rhs_flat``."""
+    run's ``eval`` equals the plant field plus each observer's statements
+    compiled alone (``rhs_flat``)."""
 
     @staticmethod
     def build(name, variants, fault=None, **over):
@@ -204,21 +205,20 @@ class TestGeneratedStep:
         cfg, plant, x0, field = self.build(name, variants)
         step = field()
         plant_eval = assemble_field(plant, cfg.fault, cfg.build_noise()).eval
-        rhs = [cfg.build_observer(v, plant).rhs_flat for v in variants]
+        rhs = [(rhs_flat(obs), obs.dim) for obs in (cfg.build_observer(v, plant) for v in variants)]
         rng = np.random.default_rng(5)
         for k in rng.integers(1, cfg.build_grid().n_steps + 1, size=40):
             t = int(k) * cfg.h
             s = (x0 + rng.normal(0.0, 0.05, x0.size) * rng.integers(0, 2, x0.size)).tolist()
             ref, lo = list(plant_eval(t, s[:plant.n])), plant.n
-            for f in rhs:
-                d = len(f.__self__.labels)
+            for f, d in rhs:
                 ref += f(s[0], s[lo:lo + d])
                 lo += d
             assert step.eval(t, s) == ref
 
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
     def test_replay_step_reads_the_sample_before_t(self, strided):
-        # the replay's y is held_signal over n + 1 samples: t = 0 reads
+        # the replay's y is the held column of n + 1 samples: t = 0 reads
         # sample 0, t = k * h sample k - 1, and a t past them raises; a
         # trace channel (a strided column) reads as its contiguous copy
         cfg = ExperimentConfig.from_dict(gt_dict())
@@ -228,9 +228,9 @@ class TestGeneratedStep:
         y = np.arange(n + 1) * 0.01
         rec = np.column_stack([-y, y])[:, 1] if strided else y
         step = fracobs.harness._run_field(cfg, plant, [obs], None, rec)
-        s = [0.0] * obs.dim
+        s, rhs = [0.0] * obs.dim, rhs_flat(obs)
         for k in (0, 1, 2, 57, n, n + 1):
-            assert step.eval(k * cfg.h, s) == obs.rhs_flat(y[max(k - 1, 0)], s)
+            assert step.eval(k * cfg.h, s) == rhs(y[max(k - 1, 0)], s)
         with pytest.raises(IndexError):
             step.eval((n + 2) * cfg.h, s)
 
@@ -244,20 +244,27 @@ class TestGeneratedStep:
         assert draws[0] != draws[-1]
         s = plant.x0.tolist()
         for k, draw in ((0, draws[0]), (1, draws[0]), (2, draws[1]), (n, draws[n - 1])):
-            want = plant.drift(*s) + fault_value(cfg.fault, k * cfg.h) + draw
+            want = plant.drift_at(*s) + fault_value(cfg.fault, k * cfg.h) + draw
             assert step.eval(k * cfg.h, s) == [*s[1:], want]
 
-    def test_run_step_calls_no_forcing_function(self):
-        # the co-simulation reads its fault and noise from grid columns by
-        # step index; the plant's unit gain is left out of the step
-        cfg, plant, _, _ = self.build("example1", ("proposed",))
-        step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer("proposed", plant)],
-                                          fracobs.harness._fault_on_grid(cfg))
+    @pytest.mark.parametrize("name, variants, replay, reads", [
+        ("example1", ("proposed",), False, ("fault_col[k]", "noise_col[k]")),
+        ("example2", ("proposed", "baseline"), False, ("fault_col[k]",)),
+        ("example2", ("proposed",), True, ("y_col[k]",)),
+    ], ids=["example1-run", "example2-compare", "example2-replay"])
+    def test_run_step_calls_no_forcing_function(self, name, variants, replay, reads):
+        # forcing is read from columns by step index, a unit gain left out and
+        # the drift (plant and observer) written in: no Python function call
+        cfg, plant, _, _ = self.build(name, variants)
+        y_rec = np.zeros(cfg.build_grid().n_steps + 1) if replay else None
+        step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants],
+                                          None if replay else fracobs.harness._fault_on_grid(cfg), y_rec)
         _, lines, _, h = step._step
-        called = {node.func.id for node in ast.walk(ast.parse("\n".join(lines)))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        called = {ast.unparse(node.func) for node in ast.walk(ast.parse("\n".join(lines)))
+                  if isinstance(node, ast.Call)}
         assert called.isdisjoint({"fault_value", "noise", "gain"})
-        assert "fault_col[k]" in lines[plant.n - 1] and "noise_col[k]" in lines[plant.n - 1]
+        assert called <= {"abs", "sqrt", "copysign"}
+        assert all(term in lines[0 if replay else plant.n - 1] for term in reads)
         assert h == cfg.h
 
 
@@ -380,6 +387,8 @@ class TestOneMarch:
         text = (tmp_path / "unit_comparison.txt").read_text()
         assert "common window: none (the run diverged at t = 6.8)" in text
         assert "never settles" not in text
+        assert "verdict: proposed beats baseline on chattering_index: undecided" in text
+        assert "verdict: proposed beats baseline on sup_error_post_settle: undecided" in text
 
 
 def dict_channels(obs, y, block):

@@ -8,7 +8,7 @@ into xhat_i and alpha_i sign(e_i) into xtilde_{i+1}; the n-th pair of the
 proposed variant injects drift + f_tilde, its fault pair filters
 e_f = f_tilde - f_hat; the baseline n-th pair injects theta_tilde.
 
-Everything runs through ``ObserverDynamics.rhs_flat`` on the flat state
+Everything runs through ``conftest.rhs_flat`` on the flat state
 [xhat1, xtilde2, xhat2, xtilde3, xhat3, (f_tilde, f_hat,) theta_tilde],
 with the gates computed from that state: epsilon = 1 opens every gate of
 the fixture, the default epsilon = 0.01 closes them all.
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rhs_flat
 from fracobs.configs import ExperimentConfig, bundled_config
 from fracobs.errors import SingularGainError
 from fracobs.fde import VectorField
@@ -150,14 +151,14 @@ class TestEstimationErrors:
         # errors the cascade used read back as e1 = y - xhat1 = 0.2,
         # e2 = xtilde2 - xhat2 = 0.3, e3 = xtilde3 - xhat3 = 0.8
         flat = BASELINE_FLAT[:5] + [0.0]
-        d = dynamics("baseline", epsilon=1.0, lambdas=(1, 1, 1), alphas=(1, 1, 1)).rhs_flat(Y, flat)
+        d = rhs_flat(dynamics("baseline", epsilon=1.0, lambdas=(1, 1, 1), alphas=(1, 1, 1)))(Y, flat)
         e = [(d[0] - 0.4) ** 2, (d[2] - 0.6) ** 2, d[4] ** 2]
         assert e == pytest.approx([0.2, 0.3, 0.8])
 
 
 class TestProposedRhs:
     def test_all_gates_open_hand_values(self):
-        d = named("proposed", dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT))
+        d = named("proposed", rhs_flat(dynamics("proposed", epsilon=1.0))(Y, PROPOSED_FLAT))
         # pair 1: xtilde_2 + lam1 sqrt|e1|, alpha1 sign(e1)
         assert d["xhat1"] == pytest.approx(0.4 + 1 * SQ02)
         assert d["xtilde2"] == pytest.approx(5.0)
@@ -174,7 +175,7 @@ class TestProposedRhs:
         assert d["theta_tilde"] == pytest.approx(8.0)
 
     def test_all_gates_closed_only_first_pair_runs(self):
-        d = named("proposed", dynamics("proposed").rhs_flat(Y, PROPOSED_FLAT))
+        d = named("proposed", rhs_flat(dynamics("proposed"))(Y, PROPOSED_FLAT))
         assert d["xhat1"] == pytest.approx(0.4 + SQ02)
         assert d["xtilde2"] == pytest.approx(5.0)
         assert d["xhat2"] == 0.0 and d["xhat3"] == 0.0
@@ -183,14 +184,14 @@ class TestProposedRhs:
 
     def test_negative_error_flips_signs(self):
         flat = [0.7] + PROPOSED_FLAT[1:]  # e1 = -0.2
-        d = dynamics("proposed", epsilon=1.0).rhs_flat(Y, flat)
+        d = rhs_flat(dynamics("proposed", epsilon=1.0))(Y, flat)
         assert d[0] == pytest.approx(0.4 - SQ02)
         assert d[1] == pytest.approx(-5.0)
 
     def test_requires_fault_states(self):
         # a baseline-sized state lacks f_tilde and f_hat
         with pytest.raises(ValueError):
-            dynamics("proposed", epsilon=1.0).rhs_flat(Y, BASELINE_FLAT)
+            rhs_flat(dynamics("proposed", epsilon=1.0))(Y, BASELINE_FLAT)
 
     def test_gain_count_enforced(self):
         with pytest.raises(ValueError):
@@ -199,7 +200,7 @@ class TestProposedRhs:
 
 class TestBaselineRhs:
     def test_hand_values(self):
-        d = named("baseline", dynamics("baseline", epsilon=1.0).rhs_flat(Y, BASELINE_FLAT))
+        d = named("baseline", rhs_flat(dynamics("baseline", epsilon=1.0))(Y, BASELINE_FLAT))
         assert d["xhat1"] == pytest.approx(0.4 + SQ02)
         assert d["xtilde2"] == pytest.approx(5.0)
         assert d["xhat2"] == pytest.approx(0.6 + 2 * SQ03)
@@ -209,8 +210,8 @@ class TestBaselineRhs:
         assert d["theta_tilde"] == pytest.approx(7.0)
 
     def test_prefix_agreement_hand_case(self):
-        dp = dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT)
-        db = dynamics("baseline", epsilon=1.0, lambdas=(1, 2, 3), alphas=(5, 6, 7)).rhs_flat(
+        dp = rhs_flat(dynamics("proposed", epsilon=1.0))(Y, PROPOSED_FLAT)
+        db = rhs_flat(dynamics("baseline", epsilon=1.0, lambdas=(1, 2, 3), alphas=(5, 6, 7)))(
             Y, BASELINE_FLAT
         )
         assert dp[:4] == db[:4]
@@ -224,8 +225,8 @@ class TestBaselineRhs:
     @settings(max_examples=60, deadline=None)
     def test_prefix_agreement_property(self, vals, gs, y, eps):
         # first 2(n-1) derivative components agree whatever the state/gains
-        dp = dynamics("proposed", epsilon=eps, lambdas=gs[0:4], alphas=gs[4:8]).rhs_flat(y, vals)
-        db = dynamics("baseline", epsilon=eps, lambdas=gs[0:3], alphas=gs[4:7]).rhs_flat(
+        dp = rhs_flat(dynamics("proposed", epsilon=eps, lambdas=gs[0:4], alphas=gs[4:8]))(y, vals)
+        db = rhs_flat(dynamics("baseline", epsilon=eps, lambdas=gs[0:3], alphas=gs[4:7]))(
             y, vals[0:5] + vals[7:]
         )
         assert dp[:4] == db[:4]
@@ -311,7 +312,7 @@ class TestObserverDynamics:
         expect = []
         for i, (e, v) in enumerate([(Y - xh1, xt2), (xt2 - xh2, xt3), (xt3 - xh3, drift + ft), (ft - fh, th)]):
             expect += fsta_rhs(-e, v, FstaParams(lam=lam[i], alpha_gain=alp[i]))
-        assert dynamics("proposed", epsilon=1.0).rhs_flat(Y, PROPOSED_FLAT) == expect
+        assert rhs_flat(dynamics("proposed", epsilon=1.0))(Y, PROPOSED_FLAT) == expect
 
         # with k gates open, pairs 1..k+1 run and the rest give (0.0, 0.0);
         # e_j is the previous pair's second variable (y for the first pair)
@@ -335,22 +336,22 @@ class TestObserverDynamics:
                     if variant == "proposed" and j == 2:  # the drift pair
                         s = float(arneodo().a(np.array([Y, flat[1], flat[3]]))) + s
                     expect += fsta_rhs(-(m - flat[2 * j]), s, FstaParams(lam=lam[j], alpha_gain=alp[j]))
-                assert dyn.rhs_flat(Y, flat) == expect
+                assert rhs_flat(dyn)(Y, flat) == expect
                 assert running_pairs(expect) == [j <= open_ for j in range(pairs)]
 
     def test_latching_keeps_gates_open(self):
         small = [-1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0, -1e-4, 0.0]  # all |e| = 1e-4
         big = [-1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0]  # all |e| = 1
-        dyn = dynamics("proposed", latching=True)
-        assert all(running_pairs(dyn.rhs_flat(0.0, small)))
-        assert all(running_pairs(dyn.rhs_flat(0.0, big)))  # latched
-        dyn.reset()
-        assert running_pairs(dyn.rhs_flat(0.0, big)) == [True, False, False, False]
+        rhs = rhs_flat(dynamics("proposed", latching=True))
+        assert all(running_pairs(rhs(0.0, small)))
+        assert all(running_pairs(rhs(0.0, big)))  # latched
+        rhs = rhs_flat(dynamics("proposed", latching=True))  # a fresh compile starts unlatched
+        assert running_pairs(rhs(0.0, big)) == [True, False, False, False]
 
     def test_instantaneous_gates_flap(self):
-        dyn = dynamics("proposed", latching=False)
-        assert all(running_pairs(dyn.rhs_flat(0.0, [-1e-4, 0.0] * 4)))
-        assert running_pairs(dyn.rhs_flat(0.0, [-1.0, 0.0] * 4)) == [True, False, False, False]
+        rhs = rhs_flat(dynamics("proposed", latching=False))
+        assert all(running_pairs(rhs(0.0, [-1e-4, 0.0] * 4)))
+        assert running_pairs(rhs(0.0, [-1.0, 0.0] * 4)) == [True, False, False, False]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -530,13 +531,13 @@ class TestCascadeMatchesObjectCascade:
         need = required_gain_count(variant, 3)
         g = SimpleNamespace(lambdas=gains[:need], alphas_gain=gains[4:4 + need], epsilon=_EPS)
         dyn = ObserverDynamics(variant, plant, g.lambdas, g.alphas_gain, g.epsilon, latching)
-        latch = np.zeros(dyn.gate_count, bool) if latching else None
+        rhs, latch = rhs_flat(dyn), (np.zeros(dyn.gate_count, bool) if latching else None)
         cube = variant == "proposed" and plant.name == "arneodo"
         b1, b2, b3, b4 = plant.params["betas"]
         for y, flat in steps:
             if variant == "baseline":
                 flat = flat[:5] + flat[7:]
-            new = dyn.rhs_flat(y, flat)
+            new = rhs(y, flat)
             old = _old_rhs(variant, g, plant, latch, y, flat)
             if cube:
                 # xhat_3' = a(y, xt2, xt3) + f_tilde + lam3 sqrt|e3| sign(e3)
@@ -552,8 +553,8 @@ class TestCascadeMatchesObjectCascade:
 
 def _per_pair_rhs(dyn, latch, y, flat):
     """The chain one ``_pair`` call at a time, with the latch held in the
-    one-element list ``latch``: the form ``rhs_flat`` had before it was
-    compiled from ``ObserverDynamics.statements``."""
+    one-element list ``latch``: the form the observer's right-hand side
+    had before it was compiled from ``ObserverDynamics.statements``."""
     lam, alp, eps = dyn._lam, dyn._alp, dyn._eps
     errors = [y - flat[0], *(flat[2 * j - 1] - flat[2 * j] for j in range(1, len(lam)))]
     open_ = 0
@@ -570,7 +571,7 @@ def _per_pair_rhs(dyn, latch, y, flat):
     for j in range(open_ + 1):
         v = flat[2 * j + 1]
         if j == dyn._drift_pair:
-            v = dyn.plant.drift(y, *flat[1:2 * j:2]) + v
+            v = dyn.plant.drift_at(y, *flat[1:2 * j:2]) + v
         out += _pair(errors[j], v, lam[j], alp[j])
     return out + [0.0, 0.0] * (dyn.gate_count - open_)
 
@@ -603,8 +604,8 @@ def _chain_step(draw):
 
 
 class TestGeneratedChain:
-    """``ObserverDynamics.statements``, compiled as ``rhs_flat`` and as a
-    block behind plant slots, equals the per-pair form bit for bit."""
+    """``ObserverDynamics.statements``, compiled alone (``rhs_flat``) and
+    as a block behind plant slots, equals the per-pair form bit for bit."""
 
     @given(
         variant=st.sampled_from(["proposed", "baseline"]),
@@ -625,11 +626,11 @@ class TestGeneratedChain:
         ns = {}
         lines = ["p0 = p1 = p2 = 0.0", *dyn.statements("s0", 3, ns)]
         behind = VectorField.from_statements(3 + dyn.dim, "test", lines, ns)
-        latch = [0]
+        alone, latch = rhs_flat(dyn), [0]
         for y, flat in steps:
             flat = flat if variant == "proposed" else flat[:5] + flat[7:]
             ref = _per_pair_rhs(dyn, latch, y, flat)
-            assert same_floats(dyn.rhs_flat(y, flat), ref)
+            assert same_floats(alone(y, flat), ref)
             assert same_floats(behind.eval(0.0, [y, 7.0, -7.0, *flat])[3:], ref)
 
     @pytest.mark.parametrize("latching", [False, True])

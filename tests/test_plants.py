@@ -18,7 +18,6 @@ from fracobs.plants import (
     fault_value,
     genesio_tesi,
     held_column,
-    held_signal,
     noise_draws,
     noise_signal,
     plant_preset,
@@ -62,18 +61,28 @@ class TestPresets:
 
     def test_plant_validation(self):
         with pytest.raises(ValueError):
-            PlantModel(n=1, alpha=0.9, drift=lambda x1: 0.0, gain=lambda x1: 1.0,
+            PlantModel(n=1, alpha=0.9, drift="0.0", gain=lambda x1: 1.0,
                        x0=np.zeros(1), params={})
         with pytest.raises(ValueError):
-            PlantModel(n=3, alpha=0.9, drift=lambda *x: 0.0, gain=lambda *x: 1.0,
+            PlantModel(n=3, alpha=0.9, drift="0.0", gain=lambda *x: 1.0,
                        x0=np.zeros(2), params={})
 
     def test_drift_over_components_matches_rows(self):
-        # the per-step float expression and the column readout are one drift,
-        # bit for bit: the power is a product on floats and arrays alike
+        # drift_at on floats, a on columns and the compiled step equal the
+        # chain's former closures bit for bit (NaN as NaN), whatever the betas
         rows = np.random.default_rng(25).uniform(-3.0, 3.0, size=(10_000, 3))
-        for p in (arneodo(), genesio_tesi()):
-            assert p.a(rows).tolist() == [p.drift(*r) for r in rows.tolist()]
+        rows[:3] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [2.0, -0.0, 0.5]]
+        x = rows.tolist()
+        bits = lambda v: np.where(np.isnan(v), np.nan, v).tobytes()
+        for betas in (None, (-0.0, 3.5, -0.0, -0.0), (math.inf, -math.inf, 0.8, math.inf), (math.nan, 1.1, -0.0, math.nan)):
+            for p in (plant_preset(name, betas=betas) for name in ("arneodo-paper", "genesio-tesi-paper")):
+                b1, b2, b3, b4 = p.params["betas"]
+                want = bits([-b1 * x1 - b2 * x2 - b3 * x3 + b4 * (x1 * x1 * x1 if p.name == "arneodo" else x1 * x1)
+                             for x1, x2, x3 in x])
+                step = assemble_field(p).eval
+                with np.errstate(invalid="ignore"):
+                    assert bits(p.a(rows)) == want
+                assert bits([p.drift_at(*r) for r in x]) == bits([step(0.0, r)[-1] for r in x]) == want
 
 
 class TestFaultSignal:
@@ -175,8 +184,7 @@ class TestNoise:
         drawn = np.array([noise(k * grid.h) for k in range(1, count + 1)])
         assert drawn.tobytes() == noise_draws(spec, count).tobytes()
 
-    @pytest.mark.parametrize("source", ["noise_signal", "held_signal", "strided", "column",
-                                        "strided column"])
+    @pytest.mark.parametrize("source", ["noise_signal", "column", "strided column"])
     def test_ends_of_the_table_do_not_wrap(self, source):
         # the noise is its draws held per step; a held column of a wider
         # array (as a trace channel is) reads the same floats as its copy.
@@ -194,7 +202,7 @@ class TestNoise:
             assert len(column) == n + 1
             at = column.__getitem__
         else:
-            held = noise_signal(spec, grid) if source == "noise_signal" else held_signal(samples, grid.h)
+            held = noise_signal(spec, grid)
             at = lambda k: held(k * grid.h)
             assert held(-grid.h) == draws[0]  # a t before the grid does not wrap either
         assert at(0) == draws[0] != draws[-1]
@@ -257,7 +265,7 @@ class TestAssembleField:
 
         if unit:
             gain = _unit_gain
-        plant = PlantModel(n=3, alpha=0.9, drift=drift, gain=gain, x0=[0.0, 0.0, 0.0], params={})
+        plant = PlantModel(n=3, alpha=0.9, drift="x1 * x2 - x3", gain=gain, x0=[0.0, 0.0, 0.0], params={})
         custom = dict(samples=(0.1, -0.3, 0.25), sample_dt=0.7) if kind == "custom" else {}
         fault = None if kind is None else FaultSignal(kind=kind, amplitude=0.7, frequency=1.3,
                                                       onset=0.8, **custom)

@@ -8,7 +8,7 @@ seeds) and asserts one identity on ``run_experiment``,
 * a seeded rerun is bit-identical;
 * at plant.alpha = 1 the march is a plain explicit Euler loop on the
   augmented field, built here from ``assemble_field(...).eval`` and
-  ``ObserverDynamics.rhs_flat``: z_k = h * phi(t_k, x_{k-1}) + z_{k-1},
+  ``conftest.rhs_flat``: z_k = h * phi(t_k, x_{k-1}) + z_{k-1},
   x_k = x0 + z_k (the GL step computes h * phi - (-z_{k-1}), and
   a - (-b) equals a + b in IEEE arithmetic);
 * a window of n_steps is the full memory, exactly;
@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rhs_flat
 from fracobs.configs import ExperimentConfig
 from fracobs.fde import DIVERGENCE_BOUND
 from fracobs.harness import compare_observers, replay_observer, run_experiment
@@ -105,7 +106,7 @@ def euler_march(cfg, variants):
     blocks, x0 = [], list(plant.x0)
     for v in variants:
         obs = cfg.build_observer(v, plant)
-        blocks.append((obs.rhs_flat, len(x0), len(x0) + obs.dim))
+        blocks.append((rhs_flat(obs), len(x0), len(x0) + obs.dim))
         x0 += cfg.build_init_state(v, n).tolist()
 
     def phi(t, s):
