@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fde import FULL_MEMORY, SimGrid
-from .observers import DEFAULT_EPSILON, VARIANTS, ObserverDynamics, required_gain_count, state_dim
+from .observers import DEFAULT_EPSILON, VARIANTS, ObserverDynamics, required_gain_count
 from .plants import (FAULT_KINDS, PLANT_PRESETS, FaultSignal, NoiseSpec, PlantModel,
                      noise_draws, noise_signal, plant_preset)
 
@@ -235,8 +235,7 @@ class ExperimentConfig:
 
         cfg = cls(canon)
         plant_model = cfg.build_plant()
-        cfg.build_observer(variant, plant_model)
-        cfg.build_init_state(variant, plant_model.n)
+        cfg.build_init_state(cfg.build_observer(variant, plant_model))
         return cfg
 
     def to_dict(self) -> dict:
@@ -284,14 +283,15 @@ class ExperimentConfig:
         return _build("observer.gains", ObserverDynamics, variant, plant, lam, alp,
                       obs["epsilon"], obs["latching"])
 
-    def build_init_state(self, variant: str, n: int) -> np.ndarray:
-        """The observer's initial flat state (zeros unless ``observer.init``)."""
-        dim = state_dim(variant, n)
+    def build_init_state(self, observer: ObserverDynamics) -> np.ndarray:
+        """``observer``'s initial flat state (zeros unless ``observer.init``)."""
+        dim = observer.dim
         init = self._canon["observer"].get("init")
         if init is None:
             return np.zeros(dim)
         if len(init) != dim:
-            raise ConfigError("observer.init", f"{variant} observer with n={n} needs {dim} entries, got {len(init)}")
+            raise ConfigError("observer.init", f"{observer.variant} observer with n={observer.n} needs {dim} "
+                                               f"entries, got {len(init)}")
         return np.array(init)
 
 

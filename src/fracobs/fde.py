@@ -37,13 +37,15 @@ only the current leaf's far-field rows as Python lists.
 
 The leaf is generated per march from one template (``_leaf_source``)
 that unrolls the step into local floats with the operations and order
-of the array form: z_i = h^alpha * p_i - (f_i + q_i), or
-h^alpha * p_i - f_i at a leaf's first step, then row k of Z is z_0, ..
-and s_i = x0_i + z_i. f_i is row k of the z array, where the far field
-accumulates before step k; q_i is the near field, the step's one numpy
-call, on a weight view kept per lag. The row is stored by packing the
-floats into a byte view of the z array (``struct.pack_into``), which
-writes the same doubles as an array assignment without building one.
+of the array form: z_i = h^alpha * p_i - (f_i + q_i), then row k of Z
+is z_0, .. and s_i = x0_i + z_i. f_i is row k of the z array, where the
+far field accumulates before step k; q_i is the near field, the step's
+one numpy call, on a weight view kept per lag. At a leaf's first step
+that view is empty and q_i is +0.0, which leaves f_i as it is: a row
+starts at +0.0 and is only added to, so it is never -0.0. The row is
+stored by packing the floats into a byte view of the z array
+(``struct.pack_into``), which writes the same doubles as an array
+assignment without building one.
 The divergence test is -B <= s_i <= B for each component: like
 |s_i| <= B it is false for NaN and +-inf and true for -0.0, with no call.
 The field supplies the statements that bind p_0.. from s_0.., t = k*h
@@ -72,6 +74,8 @@ nothing ever tries to locate the switching surface.
 
 from __future__ import annotations
 
+import ast
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -154,11 +158,16 @@ class VectorField:
                         h: Optional[float] = None) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
         and bind p0.. (``ns`` their globals): a march inlines, eval runs them.
-        Any other name they bind is a temporary of the step, and must not be
-        one that the generated leaf uses (``_leaf_source``).
+        Any other name they bind is a temporary of the step; one that the
+        generated leaf uses (``_leaf_source``) raises ValueError.
         A field made on a grid of step ``h`` may also read the step index k:
         a march binds it as its loop variable, eval as round(t / h), and
         only a grid of that h integrates the field."""
+        clash = sorted({node.id for node in ast.walk(ast.parse("\n".join(lines)))
+                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+                       & _leaf_names(dim))
+        if clash:
+            raise ValueError(f"field {name!r} binds {', '.join(clash)}, which the generated leaf uses")
         k = "" if h is None else f"    k = round(t / {float(h)!r})\n"
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
@@ -288,43 +297,48 @@ def _call_step(dim: int) -> list[str]:
 
 def _leaf_source(dim: int, step: Sequence[str]) -> str:
     """make_leaf(...) -> leaf(lo, hi), which takes steps lo..hi-1 with
-    ``step`` as the field and returns the first diverged step, or 0. At
-    lo == 1 the state is x0's own floats, which keeps a -0.0 in x0."""
-    def each(fmt: str, pad: int) -> str:
-        return "\n".join(" " * pad + fmt.format(i=i) for i in range(dim))
+    ``step`` as the field and returns the first diverged step, or 0. The
+    state s0.. starts as x0's own floats (a -0.0 in x0 reaches step 1) and
+    carries over in ``state``, as leaves are called in order on consecutive
+    ranges."""
+    def each(fmt: str) -> str:
+        return "\n".join(" " * 12 + fmt.format(i=i) for i in range(dim))
 
     body = "\n".join(" " * 12 + line for line in step)
     s, z = _names("s", dim), _names("z", dim)
     bound = repr(DIVERGENCE_BOUND)
     return f"""\
-def make_leaf(Z, x0l, wrev, near_len, mem, ha, h, dot, pack):
-    {_names("c", dim)}, = x0l
+def make_leaf(Z, state, wrev, near_len, mem, ha, h, dot, pack):
+    {_names("c", dim)}, = state
     rows = memoryview(Z).cast("B")
     near = [wrev[near_len - m:] for m in range(near_len + 1)]
     def leaf(lo, hi):
         far = Z[lo:hi].tolist()
-        if lo == 1:
-            {s}, = x0l
-        else:
-            {z}, = Z[lo - 1].tolist()
-{each("s{i} = c{i} + z{i}", 12)}
+        {s}, = state
         for k, frow in enumerate(far, lo):
             t = k * h
 {body}
             {_names("f", dim)}, = frow
             m = k - lo if k - lo < mem else mem
-            if m:
-                {_names("q", dim)}, = dot(near[m], Z[k - m:k]).tolist()
-{each("z{i} = ha * p{i} - (f{i} + q{i})", 16)}
-            else:
-{each("z{i} = ha * p{i} - f{i}", 16)}
+            {_names("q", dim)}, = dot(near[m], Z[k - m:k]).tolist()
+{each("z{i} = ha * p{i} - (f{i} + q{i})")}
             pack(rows, k * {8 * dim}, {z})
-{each("s{i} = c{i} + z{i}", 12)}
+{each("s{i} = c{i} + z{i}")}
             if not ({" and ".join(f"-{bound} <= s{i} <= {bound}" for i in range(dim))}):
                 return k
+        state[:] = [{s}]
         return 0
     return leaf
 """
+
+
+# Once per dim: parsing the template for every field raised the peak RSS
+# of a process that runs many marches by up to ~4 MB.
+@functools.cache
+def _leaf_names(dim: int) -> frozenset:
+    """The names that the generated leaf of a dim-state field uses, but p0.."""
+    names = {node.id for node in ast.walk(ast.parse(_leaf_source(dim, ["pass"]))) if isinstance(node, ast.Name)}
+    return frozenset(names - {f"p{i}" for i in range(dim)})
 
 
 def _compiled(source: str, name: str, ns: dict, fn: str):

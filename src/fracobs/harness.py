@@ -188,7 +188,7 @@ def _cosimulate(cfg: ExperimentConfig, variants) -> list[tuple[Trace, MetricsRep
     plant = cfg.build_plant()
     n = plant.n
     observers = [cfg.build_observer(variant, plant) for variant in variants]
-    x0 = np.concatenate([plant.x0, *(cfg.build_init_state(variant, n) for variant in variants)])
+    x0 = np.concatenate([plant.x0, *(cfg.build_init_state(obs) for obs in observers)])
     f_true = _fault_on_grid(cfg)
     raw = integrate(_run_field(cfg, plant, observers, f_true), plant.alpha, grid, x0)
     ends = np.cumsum([n, *(obs.dim for obs in observers)])
@@ -221,8 +221,8 @@ def replay_observer(
     """
     grid = cfg.build_grid()
     plant = cfg.build_plant()
-    init = cfg.build_init_state(variant, plant.n)
     obs = cfg.build_observer(variant, plant)
+    init = cfg.build_init_state(obs)
     y_rec = np.asarray(y_recorded, dtype=float)
     if y_rec.shape != (grid.n_steps + 1,):
         raise ValueError(

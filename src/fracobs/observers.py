@@ -55,8 +55,6 @@ __all__ = [
     "gates",
     "baseline_fault_readout",
     "required_gain_count",
-    "state_dim",
-    "state_labels",
     "ObserverDynamics",
 ]
 
@@ -149,21 +147,6 @@ def baseline_fault_readout(x_tilde_full: np.ndarray, theta_tilde, plant: PlantMo
     return float(out) if np.ndim(out) == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# flat-vector adapters used by the simulation harness
-
-def state_dim(variant: str, n: int) -> int:
-    return 2 * required_gain_count(variant, n)
-
-
-def state_labels(variant: str, n: int) -> list[str]:
-    """The flat state's labels: each pair's estimate, then its second variable."""
-    p = required_gain_count(variant, n)
-    estimates = [*(f"xhat{i}" for i in range(1, n + 1)), "f_hat"][:p]
-    seconds = [*(f"xtilde{i}" for i in range(2, n + 1)), "f_tilde"][:p - 1] + ["theta_tilde"]
-    return [label for pair in zip(estimates, seconds) for label in pair]
-
-
 class ObserverDynamics:
     """One observer inside an integration run, on its flat state block.
 
@@ -203,7 +186,10 @@ class ObserverDynamics:
         self.latching = bool(latching)
         self.gate_count = need - 1  # every pair after the first has a gate
         self.dim = 2 * need
-        self.labels = state_labels(variant, plant.n)
+        # the flat state's labels: each pair's estimate, then its second variable
+        estimates = [*(f"xhat{i}" for i in range(1, plant.n + 1)), "f_hat"][:need]
+        seconds = [*(f"xtilde{i}" for i in range(2, plant.n + 1)), "f_tilde"][:need - 1] + ["theta_tilde"]
+        self.labels = [label for pair in zip(estimates, seconds) for label in pair]
         self.error_labels = [*(f"e{i}" for i in range(1, plant.n + 1)), "e_f"][:need]
         self.channel_labels = [
             *self.labels, *self.error_labels, *(["f_hat"] if variant == "baseline" else []),
@@ -239,7 +225,7 @@ class ObserverDynamics:
             v = s[2 * j + 1]
             if j == self._drift_pair:
                 # known drift a(y, xtilde_2..xtilde_n) plus f_tilde
-                v = f"{self.plant.drift_of([y, *s[1:2 * j:2]], ns)} + {v}"
+                v = f"{self.plant.expr(self.plant.drift, [y, *s[1:2 * j:2]], ns)} + {v}"
             pair = [
                 f"g = 0.0 if {e[j]} == 0.0 else copysign(1.0, {e[j]})",
                 f"{p[2 * j]} = {v} + lam{b}_{j} * sqrt(abs({e[j]})) * g",

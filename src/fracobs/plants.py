@@ -6,7 +6,7 @@ Every plant here is a commensurate-order chain
     D^alpha x_n = a(x) + b(x) * f(t) + noise(t)
 
 with scalar output y = x_1. ``a`` is the drift nonlinearity, ``b`` the
-input gain on the fault (identically 1 for both bundled presets), ``f``
+input gain on the fault ("1.0" for both bundled presets), ``f``
 an additive actuator fault and the noise a per-step Gaussian disturbance
 entering the same equation, not scaled by ``b``. Both are functions of t
 alone (``fault_value``, ``noise_signal``), so the assembled field is a
@@ -18,8 +18,9 @@ a(x) = -b1*x1 - b2*x2 - b3*x3 + b4*x1^p (``_chain_plant``):
 * ``arneodo``      -- p = 3, betas (-5.5, 3.5, 0.8, -1.0), alpha 0.97.
 * ``genesio_tesi`` -- p = 2, betas (1.0, 1.1, 0.44, 1.0), alpha 0.9.
 
-A plant's drift is one expression text (``PlantModel.drift``), which the
-generated statements and ``drift_at``, on floats or arrays, both read.
+A plant's drift and gain are each one expression text
+(``PlantModel.drift``, ``PlantModel.gain``), which the generated
+statements and ``drift_at`` and ``gain_at``, on floats or arrays, read.
 
 ``PlantModel.statements`` writes the chain's step once, with the fault
 and noise terms as expressions the caller binds: ``assemble_field``
@@ -64,16 +65,17 @@ FAULT_KINDS = ("none", "cosine", "sine", "step", "ramp", "custom")
 class PlantModel:
     """Observable-form plant of dimension n with drift a and input gain b.
 
-    ``drift`` is a(x) as one expression over x1..xn and the names of
-    ``params`` (none a step's own, such as t or k). ``drift_at``, compiled
-    from it, and ``gain`` take the n components as arguments (floats or
-    arrays); ``a`` and ``b`` apply them to the last axis of an array.
+    ``drift`` is a(x) and ``gain`` b(x), each one expression over x1..xn
+    and the names of ``params`` (none a step's own, such as t or k).
+    ``drift_at`` and ``gain_at``, compiled from them, take the n
+    components as arguments (floats or arrays); ``a`` and ``b`` apply them
+    to the last axis of an array.
     """
 
     n: int
     alpha: float
     drift: str
-    gain: Callable[..., float]
+    gain: str
     x0: np.ndarray
     params: dict
     name: str = ""
@@ -85,36 +87,34 @@ class PlantModel:
         if self.x0.shape != (self.n,):
             raise ValueError(f"x0 shape {self.x0.shape} does not match n={self.n}")
         x, ns = [f"x{i}" for i in range(1, self.n + 1)], {}
-        self.drift_at = eval(f"lambda {', '.join(x)}: {self.drift_of(x, ns)}", ns)
+        self.drift_at, self.gain_at = (eval(f"lambda {', '.join(x)}: {self.expr(text, x, ns)}", ns)
+                                       for text in (self.drift, self.gain))
 
-    def drift_of(self, args: Sequence[str], ns: dict) -> str:
-        """The drift as a parenthesized expression over the names ``args``
-        (x_i becomes "(args[i-1])"); the ``params`` it reads go into ``ns``."""
+    def expr(self, text: str, args: Sequence[str], ns: dict) -> str:
+        """``text``, the drift or the gain, as a parenthesized expression
+        over the names ``args`` (x_i becomes "(args[i-1])"); the ``params``
+        it reads go into ``ns``."""
         ns.update(self.params)
         names = {f"x{i}": f"({a})" for i, a in enumerate(args, 1)}
-        return "(" + re.sub(r"\bx\d+\b", lambda m: names[m[0]], self.drift) + ")"
+        return "(" + re.sub(r"\bx\d+\b", lambda m: names[m[0]], text) + ")"
 
     def a(self, x):
         return self.drift_at(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
     def b(self, x):
-        return self.gain(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        return self.gain_at(*np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
     def statements(self, fault: Optional[str], noise: Optional[str], ns: dict) -> list[str]:
         """The chain as statements that read s0.. and bind p0..: p_i =
-        s_{i+1}, and the last component the drift, plus gain(s0, ..) *
+        s_{i+1}, and the last component the drift, plus the gain times
         ``fault`` given a fault term, plus ``noise`` given a noise term.
         The two terms are expressions (say "noise(t)" or "noise_col[k]")
         whose names the caller binds in ``ns``; the plant puts its params
-        and gain there. A unit gain is left out, as f * 1.0 == f exactly."""
+        there. A unit gain is exact, as 1.0 * f == f for every float."""
         x = [f"s{i}" for i in range(self.n)]
-        drive = self.drift_of(x, ns)
+        drive = self.expr(self.drift, x, ns)
         if fault is not None:
-            if self.gain is _unit_gain:
-                drive += f" + {fault}"
-            else:
-                drive += f" + gain({', '.join(x)}) * {fault}"
-                ns["gain"] = self.gain
+            drive += f" + {self.expr(self.gain, x, ns)} * {fault}"
         if noise is not None:
             drive += f" + {noise}"
         return [*(f"p{i} = s{i + 1}" for i in range(self.n - 1)), f"p{self.n - 1} = {drive}"]
@@ -225,10 +225,6 @@ def noise_signal(spec: NoiseSpec, grid: SimGrid) -> Callable[[float], float]:
     return noise
 
 
-def _unit_gain(*x) -> float:
-    return 1.0
-
-
 def _chain_plant(name: str, power: int, alpha: float, betas: Sequence[float],
                  x0: Sequence[float]) -> PlantModel:
     """The three-state chain with drift -b1*x1 - b2*x2 - b3*x3 + b4*x1**power.
@@ -242,7 +238,7 @@ def _chain_plant(name: str, power: int, alpha: float, betas: Sequence[float],
         raise ValueError(f"{name} needs 4 betas, got {len(b)}")
     drift = f"-betas[0] * x1 - betas[1] * x2 - betas[2] * x3 + betas[3] * (x1{' * x1' * (power - 1)})"
     return PlantModel(
-        n=3, alpha=float(alpha), drift=drift, gain=_unit_gain, x0=np.asarray(x0, dtype=float),
+        n=3, alpha=float(alpha), drift=drift, gain="1.0", x0=np.asarray(x0, dtype=float),
         params={"betas": b}, name=name,
     )
 

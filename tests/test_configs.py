@@ -199,6 +199,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="observer.init: proposed observer with n=3 needs 8 entries, got 5"):
             ExperimentConfig.from_dict(d)
         cfg = ExperimentConfig.from_dict(gt_dict(**{"observer.init": [0.0] * 8}))
-        assert cfg.build_init_state("proposed", 3).tolist() == [0.0] * 8
+        assert cfg.build_init_state(cfg.build_observer("proposed", cfg.build_plant())).tolist() == [0.0] * 8
         with pytest.raises(ConfigError, match="baseline observer with n=3 needs 6 entries, got 8"):
-            cfg.build_init_state("baseline", 3)
+            cfg.build_init_state(cfg.build_observer("baseline", cfg.build_plant()))

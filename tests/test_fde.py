@@ -166,6 +166,30 @@ class TestFieldContract:
         with pytest.raises(ValueError, match=f"returned {len(out)} values, field.dim is 3"):
             integrate(VectorField(dim=3, eval=lambda t, x: out), 0.9, self.GRID, [0.0] * 3)
 
+    @pytest.mark.parametrize("alpha, mem", [(0.9, "full"), (0.9, 50), (1.0, "full")],
+                             ids=["full-memory", "memory-50", "alpha-1"])
+    def test_each_step_is_handed_the_row_before_it(self, alpha, mem):
+        # 500 steps span four leaves; the state carries over from one leaf
+        # to the next, and only step 1 sees x0's own -0.0
+        seen = []
+
+        def f(t, x):
+            seen.append(x)
+            return [-x[0] + math.cos(t), 0.5 * x[0] - x[1]]
+
+        x0 = [-0.0, 1.5]
+        tr = integrate(VectorField(dim=2, eval=f), alpha, SimGrid(h=1e-2, t_end=5.0, memory_len=mem), x0)
+        assert len(seen) == 500 and not tr.diverged
+        assert np.array(seen[0]).tobytes() == np.array(x0).tobytes()
+        assert np.array(seen).tobytes() == tr.values[:-1].tobytes()
+
+    @pytest.mark.parametrize("name", ["ha", "c0", "k", "near"])
+    def test_statements_may_not_bind_a_name_of_the_leaf(self, name):
+        # inlined, "ha = 2.0" would rescale every later step of the march
+        # while eval still returned -s0
+        with pytest.raises(ValueError, match=f"field 'clash' binds {name}, which the generated leaf uses"):
+            VectorField.from_statements(1, "clash", [f"{name} = 2.0", "p0 = -s0"], {})
+
 
 class TestDivergenceFlag:
     def test_blowup_is_flagged_not_raised(self):

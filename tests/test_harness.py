@@ -13,11 +13,11 @@ import pytest
 import fracobs.harness
 from conftest import rhs_flat
 from fracobs.cli import main
-from fracobs.configs import ExperimentConfig, bundled_config
+from fracobs.configs import BUNDLED_CONFIGS, ExperimentConfig, bundled_config
 from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
 from fracobs.fde import SimGrid, VectorField, integrate
 from fracobs.observers import baseline_fault_readout, gates
-from fracobs.plants import NoiseSpec, assemble_field, fault_value, noise_signal, plant_preset
+from fracobs.plants import NoiseSpec, PlantModel, assemble_field, fault_value, noise_signal, plant_preset
 
 
 def gt_dict(**over):
@@ -167,7 +167,7 @@ class TestGeneratedStep:
             d["fault"] = fault
         cfg = ExperimentConfig.from_dict(d)
         plant = cfg.build_plant()
-        x0 = np.concatenate([plant.x0, *(cfg.build_init_state(v, plant.n) for v in variants)])
+        x0 = np.concatenate([plant.x0, *(cfg.build_init_state(cfg.build_observer(v, plant)) for v in variants)])
 
         def field():
             if not variants:
@@ -247,15 +247,19 @@ class TestGeneratedStep:
             want = plant.drift_at(*s) + fault_value(cfg.fault, k * cfg.h) + draw
             assert step.eval(k * cfg.h, s) == [*s[1:], want]
 
-    @pytest.mark.parametrize("name, variants, replay, reads", [
-        ("example1", ("proposed",), False, ("fault_col[k]", "noise_col[k]")),
-        ("example2", ("proposed", "baseline"), False, ("fault_col[k]",)),
-        ("example2", ("proposed",), True, ("y_col[k]",)),
-    ], ids=["example1-run", "example2-compare", "example2-replay"])
-    def test_run_step_calls_no_forcing_function(self, name, variants, replay, reads):
-        # forcing is read from columns by step index, a unit gain left out and
-        # the drift (plant and observer) written in: no Python function call
+    @pytest.mark.parametrize("name, variants, replay, gain, reads", [
+        ("example1", ("proposed",), False, None, ("fault_col[k]", "noise_col[k]")),
+        ("example2", ("proposed", "baseline"), False, None, ("fault_col[k]",)),
+        ("example2", ("proposed",), True, None, ("y_col[k]",)),
+        # a test-built plant whose gain is not unit
+        ("example1", ("proposed",), False, "2.0 + x1 * x3", ("(2.0 + (s0) * (s2)) * fault_col[k]", "noise_col[k]")),
+    ], ids=["example1-run", "example2-compare", "example2-replay", "example1-run-gain"])
+    def test_run_step_calls_no_forcing_function(self, name, variants, replay, gain, reads):
+        # forcing is read from columns by step index, and the gain and the
+        # drift (plant and observer) are written in: no Python function call
         cfg, plant, _, _ = self.build(name, variants)
+        if gain is not None:
+            plant = PlantModel(n=3, alpha=plant.alpha, drift="x1 * x2 - x3", gain=gain, x0=plant.x0, params={})
         y_rec = np.zeros(cfg.build_grid().n_steps + 1) if replay else None
         step = fracobs.harness._run_field(cfg, plant, [cfg.build_observer(v, plant) for v in variants],
                                           None if replay else fracobs.harness._fault_on_grid(cfg), y_rec)
@@ -266,6 +270,17 @@ class TestGeneratedStep:
         assert called <= {"abs", "sqrt", "copysign"}
         assert all(term in lines[0 if replay else plant.n - 1] for term in reads)
         assert h == cfg.h
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_CONFIGS))
+    def test_every_bundled_step_compiles(self, name):
+        # no plant or observer statement binds a name of the generated leaf
+        cfg = ExperimentConfig.from_dict(bundled_config(name))
+        plant = cfg.build_plant()
+        assemble_field(plant, cfg.fault, cfg.build_noise())
+        for variants in (("proposed",), ("baseline",), ("proposed", "baseline")):
+            observers = [cfg.build_observer(v, plant) for v in variants]
+            fracobs.harness._run_field(cfg, plant, observers, fracobs.harness._fault_on_grid(cfg))
+            fracobs.harness._run_field(cfg, plant, observers[:1], None, np.zeros(cfg.build_grid().n_steps + 1))
 
 
 class TestCompare:

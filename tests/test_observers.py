@@ -37,8 +37,6 @@ from fracobs.observers import (
     gates,
     required_gain_count,
     sta_convergence_time,
-    state_dim,
-    state_labels,
 )
 from fracobs.plants import arneodo, genesio_tesi
 
@@ -61,7 +59,7 @@ def dynamics(variant, epsilon=0.01, latching=False, **gains):
 
 
 def named(variant, d):
-    return dict(zip(state_labels(variant, 3), d))
+    return dict(zip(dynamics(variant).labels, d))
 
 
 def running_pairs(d):
@@ -274,23 +272,24 @@ def _example1(**observer):
 
 class TestStateLayout:
     def test_dims_and_gain_counts(self):
-        assert state_dim("proposed", 3) == 8
-        assert state_dim("baseline", 3) == 6
+        assert dynamics("proposed").dim == 8
+        assert dynamics("baseline").dim == 6
         assert required_gain_count("proposed", 3) == 4
         assert required_gain_count("baseline", 3) == 3
 
     def test_labels(self):
-        assert state_labels("proposed", 3) == [
+        assert dynamics("proposed").labels == [
             "xhat1", "xtilde2", "xhat2", "xtilde3", "xhat3",
             "f_tilde", "f_hat", "theta_tilde",
         ]
-        assert state_labels("baseline", 3) == [
+        assert dynamics("baseline").labels == [
             "xhat1", "xtilde2", "xhat2", "xtilde3", "xhat3", "theta_tilde",
         ]
 
     def test_pack_unpack_round_trip(self):
         # observer.init is the flat state, entry for entry
-        init = _example1(init=PROPOSED_FLAT).build_init_state("proposed", 3)
+        cfg = _example1(init=PROPOSED_FLAT)
+        init = cfg.build_init_state(cfg.build_observer("proposed", cfg.build_plant()))
         assert init.tolist() == PROPOSED_FLAT
         d = named("proposed", init)
         assert (d["xhat1"], d["xtilde3"], d["f_tilde"], d["f_hat"], d["theta_tilde"]) == (
@@ -299,8 +298,8 @@ class TestStateLayout:
 
     def test_zero_state(self):
         cfg = _example1()
-        assert cfg.build_init_state("proposed", 3).tolist() == [0.0] * 8
-        assert cfg.build_init_state("baseline", 3).tolist() == [0.0] * 6
+        assert cfg.build_init_state(cfg.build_observer("proposed", cfg.build_plant())).tolist() == [0.0] * 8
+        assert cfg.build_init_state(cfg.build_observer("baseline", cfg.build_plant())).tolist() == [0.0] * 6
 
 
 class TestObserverDynamics:
@@ -380,7 +379,7 @@ class TestChannels:
 
     def test_proposed_hand_values(self):
         ch = written_channels(dynamics("proposed", epsilon=0.125), self.Y, self.BLOCK)
-        assert sorted(ch) == sorted(state_labels("proposed", 3) + ["e1", "e2", "e3", "e_f", "E1", "E2", "E3"])
+        assert sorted(ch) == sorted(dynamics("proposed").labels + ["e1", "e2", "e3", "e_f", "E1", "E2", "E3"])
         assert ch["xtilde2"].tolist() == [0.25, 0.25, 1.0]
         assert ch["e1"].tolist() == [0.0625, 1.0625, 0.0625]
         assert ch["e2"].tolist() == [-0.0625, -0.0625, 0.6875]
@@ -402,7 +401,7 @@ class TestChannels:
         block = np.array([[0.4375, 0.4, 0.4, 0.6, 0.6, -0.3],
                           [0.25, 0.0, 0.0, 0.0, 0.0, 1.0]])
         ch = written_channels(dynamics("baseline", epsilon=0.125), y, block)
-        assert sorted(ch) == sorted(state_labels("baseline", 3) + ["e1", "e2", "e3", "f_hat", "E1", "E2"])
+        assert sorted(ch) == sorted(dynamics("baseline").labels + ["e1", "e2", "e3", "f_hat", "E1", "E2"])
         assert ch["f_hat"] == pytest.approx([-1.045, 1.0], abs=1e-15)
         assert ch["e1"].tolist() == [0.0625, -0.25]
         assert ch["e2"].tolist() == ch["e3"].tolist() == [0.0, 0.0]

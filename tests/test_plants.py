@@ -12,7 +12,6 @@ from fracobs.plants import (
     FaultSignal,
     NoiseSpec,
     PlantModel,
-    _unit_gain,
     arneodo,
     assemble_field,
     fault_value,
@@ -61,11 +60,9 @@ class TestPresets:
 
     def test_plant_validation(self):
         with pytest.raises(ValueError):
-            PlantModel(n=1, alpha=0.9, drift="0.0", gain=lambda x1: 1.0,
-                       x0=np.zeros(1), params={})
+            PlantModel(n=1, alpha=0.9, drift="0.0", gain="1.0", x0=np.zeros(1), params={})
         with pytest.raises(ValueError):
-            PlantModel(n=3, alpha=0.9, drift="0.0", gain=lambda *x: 1.0,
-                       x0=np.zeros(2), params={})
+            PlantModel(n=3, alpha=0.9, drift="0.0", gain="1.0", x0=np.zeros(2), params={})
 
     def test_drift_over_components_matches_rows(self):
         # drift_at on floats, a on columns and the compiled step equal the
@@ -255,17 +252,16 @@ class TestAssembleField:
                              ids=["clean", "noisy", "clean-unit-gain", "noisy-unit-gain"])
     @pytest.mark.parametrize("kind", [*FAULT_KINDS, None])
     def test_gain_scales_the_fault_but_not_the_noise(self, kind, noisy, unit):
-        # the one plant definition, pinned by explicit arithmetic; the
-        # statements leave a unit gain out, which this pins to the bit
+        # the one plant definition, as text, pinned by explicit arithmetic;
+        # a unit gain times the fault is the fault to the bit
         def drift(x1, x2, x3):
             return x1 * x2 - x3
 
         def gain(x1, x2, x3):
-            return 2.0 + x1 * x3
+            return 1.0 if unit else 2.0 + x1 * x3
 
-        if unit:
-            gain = _unit_gain
-        plant = PlantModel(n=3, alpha=0.9, drift="x1 * x2 - x3", gain=gain, x0=[0.0, 0.0, 0.0], params={})
+        plant = PlantModel(n=3, alpha=0.9, drift="x1 * x2 - x3", gain="1.0" if unit else "2.0 + x1 * x3",
+                           x0=[0.0, 0.0, 0.0], params={})
         custom = dict(samples=(0.1, -0.3, 0.25), sample_dt=0.7) if kind == "custom" else {}
         fault = None if kind is None else FaultSignal(kind=kind, amplitude=0.7, frequency=1.3,
                                                       onset=0.8, **custom)

@@ -107,7 +107,7 @@ def euler_march(cfg, variants):
     for v in variants:
         obs = cfg.build_observer(v, plant)
         blocks.append((rhs_flat(obs), len(x0), len(x0) + obs.dim))
-        x0 += cfg.build_init_state(v, n).tolist()
+        x0 += cfg.build_init_state(obs).tolist()
 
     def phi(t, s):
         out = list(plant_eval(t, s[:n]))
