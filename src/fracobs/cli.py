@@ -133,6 +133,7 @@ def _write_outputs(out_arg: Optional[str], cfg: ExperimentConfig, duration: floa
             "version": __version__,
             "duration_s": round(duration, 3),
             "diverged": diverged_at is not None,
+            "leaf": next(iter(traces.values())).leaf,
             "outputs": [p.name for p in paths],
         }
         paths.append(out / f"{cfg.name}_manifest.json")

@@ -59,6 +59,28 @@ under the file name ``<fracobs step: name>``, so profiles and tracebacks
 name the field. The z array is the march's only (n+1) x dim array: once
 the march ends it is shifted by x0 in place and becomes the trace.
 
+Two leaves keep that contract. A field made by ``from_statements`` runs
+the compiled leaf of ``fracobs.native`` where it can: the step is
+translated into C, compiled once with gcc (``-O2 -ffp-contract=off``)
+and cached. Every float operation and fabs/sqrt/copysign in it is the
+IEEE operation Python runs, and its near field calls the dgemv that
+numpy's ``dot(near[m], Z[k - m:k])`` calls (``scipy_cblas_dgemv64_`` of
+numpy's bundled OpenBLAS: RowMajor, Trans, M = m, N = dim, beta = 0),
+where a plain C loop would sum in another order. So both leaves write the
+same bits. The translation takes ``+ - *``, unary minus, comparisons,
+``x if c else y``, ``if``/``else``, ``and``/``or`` in tests, ``abs``,
+``sqrt(abs(.))``, ``copysign`` (bare or ``math.``) and int gate
+counters; from the step's globals, floats, float tuples at a constant
+index, 'd' memoryview columns at [k] at least n+1 long, and one-int lists
+(a latch) at [0]. It refuses ``/``, ``//``, ``%``, ``**``, a bare
+``sqrt``, any other call or global, any other index, a name that the
+step may read before binding it, and a field of one column, where numpy's
+dot takes ddot: the places where Python would raise or C would read out
+of range, or where the sums differ. The Python leaf is the oracle and
+the fallback. It runs for a plain field, a refused step, without gcc,
+when the compile fails and when the dgemv symbol is missing, and
+``Trace.leaf`` says which leaf ran.
+
 The FFT changes the summation order, not the sum. Against the per-step
 sum, trajectories of damped linear fields agree to about 1e-14 relative
 (the tests assert 1e-11 over up to 2000 steps). On the chaotic example1
@@ -188,6 +210,8 @@ class Trace:
     values: np.ndarray
     diverged: bool = False
     diverged_at: Optional[float] = None
+    # which leaf marched it ("compiled" or "python"), None if no march made it
+    leaf: Optional[str] = None
 
     def __post_init__(self):
         n_rows = self.grid.n_steps + 1
@@ -254,7 +278,11 @@ def integrate(
     name, lines, glb, field_h = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval}, None)
     if field_h is not None and field_h != h:
         raise ValueError(f"field {name!r} was made on a grid of step {field_h!r}, grid.h is {h!r}")
-    make_leaf = _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
+    from . import native  # imported, and compiling, only once a march runs
+
+    make_leaf = native.make_leaf(dim, lines, glb, n + 1)  # None for a plain field's call
+    kind = "compiled" if make_leaf else "python"
+    make_leaf = make_leaf or _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
     leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot, struct.Struct(f"{dim}d").pack_into)
 
     def far_field(lo: int, mid: int, hi: int) -> None:
@@ -285,6 +313,7 @@ def integrate(
         values=Z,
         diverged=bool(bad),
         diverged_at=bad * h if bad else None,
+        leaf=kind,
     )
 
 

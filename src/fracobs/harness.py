@@ -93,6 +93,7 @@ def _enrich(raw: Trace, n: int, f_true: np.ndarray, obs: ObserverDynamics,
         values=values,
         diverged=raw.diverged,
         diverged_at=raw.diverged_at,
+        leaf=raw.leaf,
     )
 
 

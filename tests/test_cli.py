@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracobs.fraccalc
-from fracobs import __version__, bundled_config, cli
+from fracobs import __version__, bundled_config, cli, native
 from fracobs.cli import main
 from fracobs.configs import ExperimentConfig, config_hash
 from fracobs.fde import Trace
@@ -113,6 +113,7 @@ class TestRun:
         assert man["diverged"] is False
         assert man["outputs"] == ["cliunit_trace.csv", "cliunit_metrics.txt"]
         assert isinstance(man["duration_s"], float)
+        assert man["leaf"] in ("compiled", "python")
 
         metrics = met_p.read_text()
         assert "settle_e1" in metrics and "chattering_index" in metrics
@@ -241,6 +242,20 @@ class TestRun:
         m2 = json.loads((tmp_path / "r2/cliunit_manifest.json").read_text())
         m1.pop("duration_s"), m2.pop("duration_s")
         assert m1 == m2
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_manifest_names_the_leaf_outside_the_config_hash(self, command, tmp_path, cfg_file, monkeypatch):
+        assert main([command, str(cfg_file), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(native, "make_leaf", lambda *args: None)
+        assert main([command, str(cfg_file), "--out", str(tmp_path / "b")]) == 0
+        a, b = (json.loads((tmp_path / d / "cliunit_manifest.json").read_text()) for d in "ab")
+        assert a["leaf"] in ("compiled", "python") and b["leaf"] == "python"
+        assert a["config_hash"] == b["config_hash"] == config_hash(ExperimentConfig.from_dict(cfg_dict()))
+        for man in (a, b):
+            del man["duration_s"], man["leaf"]
+        assert a == b
+        for name in a["outputs"]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_default_out_dir_from_env(self, tmp_path, cfg_file, monkeypatch):
         monkeypatch.setenv("FRACOBS_OUT", str(tmp_path / "envout"))

@@ -1,4 +1,12 @@
-"""Explicit GL solver: shift exactness, oracles, memory truncation."""
+"""Explicit GL solver: shift exactness, oracles, memory truncation.
+
+The exact identities (phi == 0 returns x0, alpha = 1 is explicit Euler, a
+window of n_steps is full memory, a -0.0 in x0 reaches step 1, the
+divergence step and its NaN rows, bit-identical reruns) run on both leaves
+of the march (``conftest.on_both_leaves``), on fields made by
+``VectorField.from_statements``, which the compiled leaf takes when it has
+two columns or more.
+"""
 
 import math
 import tracemalloc
@@ -8,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_both_leaves
 from fracobs import fde
 from fracobs.fde import _group_size as group_size
 from fracobs.fde import (
@@ -21,8 +30,15 @@ from fracobs.fde import (
 from fracobs.fraccalc import gl_weights, mittag_leffler
 
 
+def stepped(dim, exprs, ns=None, h=None):
+    """The field whose step binds p_i = exprs[i], over s0.., t, k (given h)
+    and the globals ns."""
+    return VectorField.from_statements(dim, "stepped", [f"p{i} = {e}" for i, e in enumerate(exprs)],
+                                       ns or {}, h)
+
+
 def relax(dim=1):
-    return VectorField(dim=dim, eval=lambda t, x: -np.asarray(x))
+    return stepped(dim, [f"-s{i}" for i in range(dim)])
 
 
 class TestSimGrid:
@@ -53,20 +69,22 @@ class TestSimGrid:
 
 
 class TestIntegrateBasics:
+    @on_both_leaves
     def test_zero_field_returns_x0_exactly(self):
         # the z-shift makes this exact at every step, not approximate
         g = SimGrid(h=1e-2, t_end=1.0, memory_len="full")
         x0 = np.array([2.5, -1.25, 1e-7])
-        tr = integrate(VectorField(dim=3, eval=lambda t, x: np.zeros(3)), 0.7, g, x0)
+        tr = integrate(stepped(3, ["0.0"] * 3), 0.7, g, x0)
         assert np.all(tr.values == x0)
 
     @given(st.floats(min_value=-5, max_value=5, allow_nan=False),
            st.floats(min_value=0.1, max_value=0.99))
     @settings(max_examples=25, deadline=None)
+    @on_both_leaves
     def test_zero_field_any_start_any_order(self, x0, alpha):
         g = SimGrid(h=0.05, t_end=0.5, memory_len="full")
-        tr = integrate(VectorField(dim=1, eval=lambda t, x: np.zeros(1)), alpha, g, np.array([x0]))
-        assert np.all(tr.values[:, 0] == x0)
+        tr = integrate(stepped(2, ["0.0", "0.0"]), alpha, g, np.array([x0, -x0]))
+        assert np.all(tr.values == [x0, -x0])
 
     def test_relaxation_vs_mittag_leffler(self):
         a = 0.9
@@ -78,14 +96,15 @@ class TestIntegrateBasics:
         rel = np.abs(tr.values[lo:, 0] - ref) / np.abs(ref)
         assert rel.max() < 1e-2
 
+    @on_both_leaves
     def test_alpha_one_is_explicit_euler(self):
         # algebraic identity, not an accuracy statement
         g = SimGrid(h=1e-2, t_end=0.5, memory_len="full")
-        tr = integrate(relax(), 1.0, g, np.array([1.0]))
-        x = 1.0
+        tr = integrate(relax(2), 1.0, g, np.array([1.0, -0.5]))
+        x = np.array([1.0, -0.5])
         for k in range(1, g.n_steps + 1):
             x = x + g.h * (-x)
-            assert tr.values[k, 0] == pytest.approx(x, abs=1e-15)
+            assert tr.values[k] == pytest.approx(x, abs=1e-15)
 
     def test_alpha_one_exponential_error_bound(self):
         g = SimGrid(h=1e-3, t_end=1.0, memory_len="full")
@@ -104,9 +123,10 @@ class TestIntegrateBasics:
             errs.append(np.max(np.abs(tr.values[lo:, 0] - ref)))
         assert errs[0] > errs[1] > errs[2]
 
+    @on_both_leaves
     def test_determinism_bit_identical(self):
         g = SimGrid(h=1e-3, t_end=1.0, memory_len="full")
-        f = VectorField(dim=2, eval=lambda t, x: np.array([x[1], -x[0] - 0.1 * x[1]]))
+        f = stepped(2, ["s1", "-s0 - 0.1 * s1"])
         a = integrate(f, 0.8, g, np.array([1.0, 0.0]))
         b = integrate(f, 0.8, g, np.array([1.0, 0.0]))
         assert np.array_equal(a.values, b.values)
@@ -147,7 +167,7 @@ class TestFieldContract:
     def test_list_and_array_results_give_the_same_trace(self):
         x0 = [1.0, -2.0, 0.5]
         as_list = integrate(VectorField(dim=3, eval=lambda t, x: [-v for v in x]), 0.9, self.GRID, x0)
-        as_array = integrate(relax(dim=3), 0.9, self.GRID, x0)
+        as_array = integrate(VectorField(dim=3, eval=lambda t, x: -np.asarray(x)), 0.9, self.GRID, x0)
         assert np.array_equal(as_list.values, as_array.values)
 
     def test_first_step_sees_x0_itself(self):
@@ -160,6 +180,15 @@ class TestFieldContract:
 
         integrate(VectorField(dim=1, eval=f), 0.9, SimGrid(h=0.1, t_end=0.3), [-0.0])
         assert seen[0] == -1.0
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0])
+    @on_both_leaves
+    def test_a_negative_zero_in_x0_reaches_step_1(self, alpha):
+        # the step sees the sign of x0's -0.0: x_1 = -0.0 + h^alpha * copysign(1.0, -0.0)
+        g = SimGrid(h=0.1, t_end=0.3)
+        tr = integrate(stepped(2, ["copysign(1.0, s0)", "copysign(1.0, s1)"], {"copysign": math.copysign}),
+                       alpha, g, [-0.0, 0.0])
+        assert list(tr.values[1]) == [-g.h ** alpha, g.h ** alpha]
 
     @pytest.mark.parametrize("out", [[1.0], [1.0, 2.0, 3.0, 4.0]])
     def test_wrong_length_result_raises(self, out):
@@ -192,10 +221,11 @@ class TestFieldContract:
 
 
 class TestDivergenceFlag:
+    @on_both_leaves
     def test_blowup_is_flagged_not_raised(self):
         g = SimGrid(h=0.1, t_end=5.0, memory_len="full")
-        f = VectorField(dim=1, eval=lambda t, x: np.square(x))
-        tr = integrate(f, 1.0, g, np.array([3.0]))
+        f = stepped(2, ["s0 * s0", "0.0"])
+        tr = integrate(f, 1.0, g, np.array([3.0, 0.0]))
         assert tr.diverged
         assert tr.diverged_at is not None
         # rows after the divergence step are NaN-filled
@@ -205,10 +235,11 @@ class TestDivergenceFlag:
     def test_divergence_threshold_is_1e8(self):
         assert DIVERGENCE_BOUND == 1e8
 
+    @on_both_leaves
     def test_nonfinite_field_output_flags(self):
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
-        f = VectorField(dim=1, eval=lambda t, x: np.array([math.inf]))
-        tr = integrate(f, 0.9, g, np.array([0.0]))
+        f = stepped(2, ["inf", "0.0"], {"inf": math.inf})
+        tr = integrate(f, 0.9, g, np.array([0.0, 0.0]))
         assert tr.diverged
 
     @pytest.mark.parametrize("x0, flags", [
@@ -216,32 +247,28 @@ class TestDivergenceFlag:
         ([math.nextafter(DIVERGENCE_BOUND, math.inf)], True),
         ([DIVERGENCE_BOUND / 10] * 11, False),  # sum 1.1e8, each at 1e7
     ])
+    @on_both_leaves
     def test_bound_applies_to_each_component(self, x0, flags):
         # phi == 0 keeps every x_k exactly at x0, so step 1 tests x0 itself
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
-        zero = [0.0] * len(x0)
-        tr = integrate(VectorField(dim=len(x0), eval=lambda t, x: zero), 0.9, g, x0)
+        tr = integrate(stepped(len(x0), ["0.0"] * len(x0)), 0.9, g, x0)
         assert tr.diverged is flags
         assert tr.diverged_at == (pytest.approx(0.1) if flags else None)
 
     @pytest.mark.parametrize("col, bad", [(2, math.nan), (0, -math.inf)])
+    @on_both_leaves
     def test_nonfinite_component_flags_at_its_step(self, col, bad):
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
-
-        def f(t, x):
-            out = [0.0, 0.0, 0.0]
-            if round(t / g.h) == 4:
-                out[col] = bad
-            return out
-
-        tr = integrate(VectorField(dim=3, eval=f), 0.9, g, [1.0, 1.0, 1.0])
+        f = stepped(3, ["bad if k == 4 else 0.0" if i == col else "0.0" for i in range(3)], {"bad": bad}, g.h)
+        tr = integrate(f, 0.9, g, [1.0, 1.0, 1.0])
         assert tr.diverged and tr.diverged_at == pytest.approx(0.4)
         assert np.all(tr.values[:4] == 1.0)
         assert np.all(np.isnan(tr.values[5:]))
 
+    @on_both_leaves
     def test_nan_field_output_flags(self):
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
-        f = VectorField(dim=2, eval=lambda t, x: np.array([0.0, math.nan]))
+        f = stepped(2, ["0.0", "nan"], {"nan": math.nan})
         tr = integrate(f, 0.9, g, np.array([1.0, 1.0]))
         assert tr.diverged
         assert tr.diverged_at == pytest.approx(0.1)
@@ -291,22 +318,26 @@ def direct_gl(f, alpha, grid, x0):
     X[0] = x0
     for k in range(1, n + 1):
         m = min(k, mem)
-        Z[k] = h ** alpha * f.eval(k * h, X[k - 1]) - wrev[mem - m:] @ Z[k - m:k]
+        Z[k] = h ** alpha * np.asarray(f.eval(k * h, X[k - 1].tolist())) - wrev[mem - m:] @ Z[k - m:k]
         X[k] = x0 + Z[k]
     return X
 
 
-def damped(dim, q, ha):
-    # a decaying rotation with forcing: not chaotic, so differences stay at
-    # roundoff size; q = h^alpha * decay rate keeps the explicit march stable
-    A = q / ha * (-np.eye(dim) + 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1)))
-    return VectorField(dim=dim, eval=lambda t, x: A @ np.asarray(x) + np.cos(t))
+def damped(dim, q, ha, grid):
+    # a decaying rotation with forcing cos(t_k), read by step: not chaotic,
+    # so differences stay at roundoff size; q = h^alpha * decay rate keeps
+    # the explicit march stable. The rates are globals, so the step's
+    # source, and with it the compiled leaf, depends on dim only.
+    lines = [f"p{i} = -a * s{i}" + (f" + b * s{i + 1}" if i + 1 < dim else "")
+             + (f" - b * s{i - 1}" if i else "") + " + force[k]" for i in range(dim)]
+    ns = {"a": q / ha, "b": 0.5 * q / ha, "force": memoryview(np.cos(grid.times()))}
+    return VectorField.from_statements(dim, "damped", lines, ns, grid.h)
 
 
 def march(n, mem, dim, alpha, q, x0):
     h = 1e-2
     grid = SimGrid(h=h, t_end=n * h, memory_len=mem)
-    return grid, damped(dim, q, h ** alpha), alpha, np.array(x0, dtype=float)
+    return grid, damped(dim, q, h ** alpha, grid), alpha, np.array(x0, dtype=float)
 
 
 @st.composite
@@ -339,6 +370,7 @@ class TestFastHistorySum:
     @example(DEEP[3])
     @example(DEEP[4])
     @settings(max_examples=30, deadline=None)
+    @on_both_leaves
     def test_matches_direct_sum(self, case):
         grid, f, alpha, x0 = case
         fast = integrate(f, alpha, grid, x0).values
@@ -348,6 +380,7 @@ class TestFastHistorySum:
     @given(marches())
     @example(DEEP[0])
     @settings(max_examples=15, deadline=None)
+    @on_both_leaves
     def test_window_of_n_steps_is_full_memory(self, case):
         grid, f, alpha, x0 = case
         full = SimGrid(h=grid.h, t_end=grid.t_end, memory_len="full")
@@ -358,14 +391,16 @@ class TestFastHistorySum:
     @given(marches())
     @example(DEEP[1])
     @settings(max_examples=15, deadline=None)
+    @on_both_leaves
     def test_zero_field_any_window(self, case):
         grid, f, alpha, x0 = case
-        zero = VectorField(dim=f.dim, eval=lambda t, x: np.zeros(f.dim))
+        zero = stepped(f.dim, ["0.0"] * f.dim)
         assert np.all(integrate(zero, alpha, grid, x0).values == x0)
 
     @given(marches())
     @example(DEEP[2])
     @settings(max_examples=15, deadline=None)
+    @on_both_leaves
     def test_alpha_one_is_direct_euler_any_window(self, case):
         grid, f, _, x0 = case
         assert np.array_equal(integrate(f, 1.0, grid, x0).values,
@@ -409,6 +444,7 @@ class TestMarchMemory:
 
 
 class TestShortMemory:
+    @on_both_leaves
     def test_truncation_errors_monotone_and_zero_at_full(self):
         g = SimGrid(h=1e-2, t_end=2.0, memory_len="full")
         rows = memory_truncation_error(
@@ -418,7 +454,7 @@ class TestShortMemory:
         devs = [r[1] for r in rows]
         assert ls == [1, 10, 50, 100, 200]
         assert all(devs[i] >= devs[i + 1] for i in range(len(devs) - 1))
-        full_rows = memory_truncation_error(relax(), 0.9, g, np.array([1.0]), [g.n_steps])
+        full_rows = memory_truncation_error(relax(2), 0.9, g, np.array([1.0, -0.5]), [g.n_steps])
         assert full_rows[0][1] == 0.0
 
     def test_l1_worse_than_half_memory(self):
@@ -428,10 +464,11 @@ class TestShortMemory:
         )
         assert rows[0][1] > rows[1][1]
 
+    @on_both_leaves
     def test_alpha_one_is_memoryless(self):
         # Euler weights vanish beyond j=1, so any L >= 1 is exact
         g = SimGrid(h=1e-2, t_end=1.0, memory_len="full")
-        rows = memory_truncation_error(relax(), 1.0, g, np.array([1.0]), [1, 5])
+        rows = memory_truncation_error(relax(2), 1.0, g, np.array([1.0, -0.5]), [1, 5])
         assert rows[0][1] == 0.0 and rows[1][1] == 0.0
 
 

@@ -16,13 +16,16 @@ seeds) and asserts one identity on ``run_experiment``,
 * a replay, and each trace of a comparison, stays within 1e-12 of the
   co-simulated run (a wider march can reorder the near-field dot
   product by a few ulps).
+
+Every test runs on both leaves of the march, the compiled and the Python
+one (``conftest.on_both_leaves``).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rhs_flat
+from conftest import on_both_leaves, rhs_flat
 from fracobs.configs import ExperimentConfig
 from fracobs.fde import DIVERGENCE_BOUND
 from fracobs.harness import compare_observers, replay_observer, run_experiment
@@ -141,6 +144,7 @@ _SETTINGS = settings(max_examples=12, deadline=None)
 
 @given(configs())
 @_SETTINGS
+@on_both_leaves
 def test_seeded_rerun_is_bit_identical(raw):
     cfg = cfg_of(raw)
     (t1, r1), (t2, r2) = run_experiment(cfg), run_experiment(cfg)
@@ -157,6 +161,7 @@ def test_seeded_rerun_is_bit_identical(raw):
 
 @given(configs(**{"plant.alpha": 1.0}))
 @_SETTINGS
+@on_both_leaves
 def test_alpha_one_is_explicit_euler(raw):
     cfg = cfg_of(raw)
     plant = cfg.build_plant()
@@ -175,6 +180,7 @@ def test_alpha_one_is_explicit_euler(raw):
 
 @given(configs())
 @_SETTINGS
+@on_both_leaves
 def test_window_of_n_steps_is_full_memory(raw):
     full = cfg_of(raw)
     window = cfg_of(raw, **{"grid.memory": full.build_grid().n_steps})
@@ -189,6 +195,7 @@ def test_window_of_n_steps_is_full_memory(raw):
 
 @given(configs(), st.data())
 @_SETTINGS
+@on_both_leaves
 def test_replay_reads_only_x1(raw, data):
     cfg = cfg_of(raw)
     trace, _ = run_experiment(cfg)
@@ -204,6 +211,7 @@ def test_replay_reads_only_x1(raw, data):
 
 @given(configs())
 @_SETTINGS
+@on_both_leaves
 def test_replay_and_compare_match_the_cosimulation(raw):
     cfg = cfg_of(raw)
     plant = cfg.build_plant()
