@@ -67,19 +67,13 @@ IEEE operation Python runs, and its near field calls the dgemv that
 numpy's ``dot(near[m], Z[k - m:k])`` calls (``scipy_cblas_dgemv64_`` of
 numpy's bundled OpenBLAS: RowMajor, Trans, M = m, N = dim, beta = 0),
 where a plain C loop would sum in another order. So both leaves write the
-same bits. The translation takes ``+ - *``, unary minus, comparisons,
-``x if c else y``, ``if``/``else``, ``and``/``or`` in tests, ``abs``,
-``sqrt(abs(.))``, ``copysign`` (bare or ``math.``) and int gate
-counters; from the step's globals, floats, float tuples at a constant
-index, 'd' memoryview columns at [k] at least n+1 long, and one-int lists
-(a latch) at [0]. It refuses ``/``, ``//``, ``%``, ``**``, a bare
-``sqrt``, any other call or global, any other index, a name that the
-step may read before binding it, and a field of one column, where numpy's
-dot takes ddot: the places where Python would raise or C would read out
-of range, or where the sums differ. The Python leaf is the oracle and
-the fallback. It runs for a plain field, a refused step, without gcc,
-when the compile fails and when the dgemv symbol is missing, and
-``Trace.leaf`` says which leaf ran.
+same bits. The step language it translates, floats and tests only, is
+listed in the ``fracobs.native`` docstring; it leaves out what Python
+would raise on, what C would read out of range and what C would sum in
+another order. The Python leaf is the oracle and the fallback. It runs
+for a plain field, a step off that language, without gcc, when the
+compile fails and when the dgemv symbol is missing, and ``Trace.leaf``
+says which leaf ran.
 
 The FFT changes the summation order, not the sum. Against the per-step
 sum, trajectories of damped linear fields agree to about 1e-14 relative
@@ -180,16 +174,22 @@ class VectorField:
                         h: Optional[float] = None) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
         and bind p0.. (``ns`` their globals): a march inlines, eval runs them.
-        Any other name they bind is a temporary of the step; one that the
-        generated leaf uses (``_leaf_source``) raises ValueError.
-        A field made on a grid of step ``h`` may also read the step index k:
-        a march binds it as its loop variable, eval as round(t / h), and
-        only a grid of that h integrates the field."""
-        clash = sorted({node.id for node in ast.walk(ast.parse("\n".join(lines)))
-                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
-                       & _leaf_names(dim))
-        if clash:
-            raise ValueError(f"field {name!r} binds {', '.join(clash)}, which the generated leaf uses")
+        Any other name they bind is a temporary of the step, and any other
+        name they read a global. A field made on a grid of step ``h`` may
+        also read the step index k: a march binds it as its loop variable,
+        eval as round(t / h), and only a grid of that h integrates the field.
+        This is the one check of a step's names: binding a name of the
+        generated leaf (``_leaf_source``), or reading one that is not an
+        input, raises ValueError, as the leaf would use its own."""
+        used = _leaf_names(dim)
+        leaf = [(node.id, isinstance(node.ctx, ast.Load)) for node in ast.walk(ast.parse("\n".join(lines)))
+                if isinstance(node, ast.Name) and node.id in used]
+        inputs = {"t", *(f"s{i}" for i in range(dim)), *(["k"] if h is not None else [])}
+        for verb, bad in (("binds", {n for n, load in leaf if not load}),
+                          ("reads", {n for n, load in leaf if load} - inputs)):
+            if bad:
+                raise ValueError(f"field {name!r} {verb} {', '.join(sorted(bad))}, which the generated leaf uses"
+                                 " (its inputs are t, s0.. and, on a grid, k)")
         k = "" if h is None else f"    k = round(t / {float(h)!r})\n"
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"

@@ -213,13 +213,14 @@ class ObserverDynamics:
             ns[f"lam{b}_{j}"], ns[f"alp{b}_{j}"] = self._lam[j], self._alp[j]
 
         # each pair's measured input (y, then the previous pair's second
-        # variable) minus its estimate; o = gates open now
+        # variable) minus its estimate; o = gates open now, a float (the
+        # step language has no ints) that is only compared
         lines = [f"{e[0]} = {y} - {s[0]}", *(f"{e[j]} = {s[2 * j - 1]} - {s[2 * j]}" for j in range(1, pairs)),
-                 f"{o} = 0"]
+                 f"{o} = 0.0"]
         for j in range(self.gate_count):
-            lines += [f"{'    ' * j}if abs({e[j]}) <= {eps}:", f"{'    ' * j}    {o} = {j + 1}"]
+            lines += [f"{'    ' * j}if abs({e[j]}) <= {eps}:", f"{'    ' * j}    {o} = {float(j + 1)!r}"]
         if self.latching:
-            ns[latch] = [0]
+            ns[latch] = [0.0]
             lines += [f"if {o} > {latch}[0]:", f"    {latch}[0] = {o}", "else:", f"    {o} = {latch}[0]"]
         for j in range(pairs):
             v = s[2 * j + 1]
@@ -232,7 +233,7 @@ class ObserverDynamics:
                 f"{p[2 * j + 1]} = alp{b}_{j} * g",
             ]
             if j:
-                pair = [f"if {o} >= {j}:", *(f"    {line}" for line in pair),
+                pair = [f"if {o} >= {float(j)!r}:", *(f"    {line}" for line in pair),
                         "else:", f"    {p[2 * j]} = {p[2 * j + 1]} = 0.0"]
             lines += pair
         return lines

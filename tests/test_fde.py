@@ -219,6 +219,21 @@ class TestFieldContract:
         with pytest.raises(ValueError, match=f"field 'clash' binds {name}, which the generated leaf uses"):
             VectorField.from_statements(1, "clash", [f"{name} = 2.0", "p0 = -s0"], {})
 
+    @pytest.mark.parametrize("name", ["ha", "mem", "c0", "near"])
+    def test_statements_may_not_read_a_name_of_the_leaf(self, name):
+        # inlined, the step would read the leaf's own local, not the global:
+        # with "ha" a march at alpha 0.9 gave x1 = 0.99975 at step 1 where
+        # the same global under another name gives 0.96830
+        with pytest.raises(ValueError, match=f"field 'clash' reads {name}, which the generated leaf uses"):
+            VectorField.from_statements(2, "clash", [f"p0 = -s0 * {name}", "p1 = -s1"], {name: 2.0}, 0.01)
+
+    def test_only_a_field_made_on_a_grid_reads_k(self):
+        # without h, eval has no k to read, and a march would read its loop index
+        lines, ns = ["p0 = -s0 + col[k]", "p1 = -s1"], {"col": memoryview(np.zeros(11))}
+        assert VectorField.from_statements(2, "grid", lines, ns, 0.1).eval(0.1, [1.0, 1.0]) == [-1.0, -1.0]
+        with pytest.raises(ValueError, match="field 'no-grid' reads k, which the generated leaf uses"):
+            VectorField.from_statements(2, "no-grid", lines, ns)
+
 
 class TestDivergenceFlag:
     @on_both_leaves
@@ -259,7 +274,9 @@ class TestDivergenceFlag:
     @on_both_leaves
     def test_nonfinite_component_flags_at_its_step(self, col, bad):
         g = SimGrid(h=0.1, t_end=1.0, memory_len="full")
-        f = stepped(3, ["bad if k == 4 else 0.0" if i == col else "0.0" for i in range(3)], {"bad": bad}, g.h)
+        # the fault is read from a column at k, as a run reads its forcing
+        fault = memoryview(np.where(np.arange(g.n_steps + 1) == 4, bad, 0.0))
+        f = stepped(3, ["fault[k]" if i == col else "0.0" for i in range(3)], {"fault": fault}, g.h)
         tr = integrate(f, 0.9, g, [1.0, 1.0, 1.0])
         assert tr.diverged and tr.diverged_at == pytest.approx(0.4)
         assert np.all(tr.values[:4] == 1.0)

@@ -5,6 +5,7 @@ benchmark reproductions live in test_acceptance.py.
 """
 
 import ast
+import itertools
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import fracobs.harness
 from conftest import rhs_flat
+from fracobs import native
 from fracobs.cli import main
 from fracobs.configs import BUNDLED_CONFIGS, ExperimentConfig, bundled_config
 from fracobs.harness import compare_observers, replay_observer, run_experiment, trace_columns
@@ -273,14 +275,22 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("name", sorted(BUNDLED_CONFIGS))
     def test_every_bundled_step_compiles(self, name):
-        # no plant or observer statement binds a name of the generated leaf
-        cfg = ExperimentConfig.from_dict(bundled_config(name))
-        plant = cfg.build_plant()
-        assemble_field(plant, cfg.fault, cfg.build_noise())
-        for variants in (("proposed",), ("baseline",), ("proposed", "baseline")):
-            observers = [cfg.build_observer(v, plant) for v in variants]
-            fracobs.harness._run_field(cfg, plant, observers, fracobs.harness._fault_on_grid(cfg))
-            fracobs.harness._run_field(cfg, plant, observers[:1], None, np.zeros(cfg.build_grid().n_steps + 1))
+        # building a step checks its names; and the compiled leaf's translator
+        # takes every step a run, a comparison or a replay writes, latching
+        # or not, noisy or not, so that none falls back to the Python leaf
+        # (the translation needs no compiler)
+        for latching, variance in itertools.product((False, True), (0.0, 1.5)):
+            d = bundled_config(name)
+            d["grid"]["t_end"], d["noise"]["variance"], d["observer"]["latching"] = 1.0, variance, latching
+            cfg = ExperimentConfig.from_dict(d)
+            plant, rows = cfg.build_plant(), cfg.build_grid().n_steps + 1
+            assemble_field(plant, cfg.fault, cfg.build_noise())
+            for variants in (("proposed",), ("baseline",), ("proposed", "baseline")):
+                observers = [cfg.build_observer(v, plant) for v in variants]
+                for step in (fracobs.harness._run_field(cfg, plant, observers, fracobs.harness._fault_on_grid(cfg)),
+                             fracobs.harness._run_field(cfg, plant, observers[:1], None, np.zeros(rows))):
+                    _, lines, ns, _ = step._step
+                    native._Step(step.dim, ns, rows, ast.parse("\n".join(lines)))  # raises if refused
 
 
 class TestCompare:

@@ -88,12 +88,19 @@ def run(step, ns):
     (["p0 = -sqrt(s1 * s1)"], {"sqrt": math.sqrt}),
     (["p0 = -exp(s0)"], {"exp": math.exp}),
     (["p0 = -s0 * two"], {"two": 2}),  # an int global
-    (["p0 = -s0 * w[0]"], {"w": [2.0]}),  # a list of floats
+    (["p0 = -2 * s0"], {}),
+    (["p0 = -s0 + 0.001 * k"], {}),  # k reads only a column
+    (["p0 = -math.copysign(s0, s1)"], {"math": math}),
+    (["p0 = -s0 * w[1]"], {"w": [2.0, 0.5]}),  # a latch holds one float
+    (["p0 = -s0 * w[0]"], {"w": [2]}),
+    (["p0 = -s0 if s0 > 0.0 and s1 > 0.0 else 0.0"], {}),
+    (["p0 = -s0 if 0.0 < s0 < 1.0 else 0.0"], {}),
     (["j = 0", "p0 = -s0 * w[j]"], {"w": (2.0,)}),
     (["p0 = -s0 + col[0]"], {"col": COLUMN}),
     (["p0 = -s0 + col[k - 1]"], {"col": COLUMN}),
     (["if s0 > 0.0:", "    g = 1.0", "p0 = g"], {}),  # g unbound when s0 <= 0
-], ids=["div", "pow", "bare-sqrt", "unknown-call", "int-global", "float-list", "variable-index",
+], ids=["div", "pow", "bare-sqrt", "unknown-call", "int-global", "int-constant", "k-as-value", "math-call",
+        "float-list", "one-int-list", "and", "chained-comparison", "variable-index",
         "constant-column-index", "column-index-not-k", "maybe-unbound"])
 def test_refused_step_runs_the_python_leaf(step, ns, monkeypatch):
     trace = run(step, ns)
@@ -108,8 +115,11 @@ def test_short_column_raises_as_the_python_leaf_does():
         run(["p0 = -s0 + col[k]"], {"col": COLUMN[:-1]})
 
 
-STEP = (["p0 = -s0 * w[1] + col[k] if abs(s1) <= 2.0 else copysign(sqrt(abs(s0)), s1)"],
-        {"w": (0.5, 1.5), "col": COLUMN, "abs": abs, "sqrt": math.sqrt, "copysign": math.copysign})
+# every form of the language, with a latch cell that carries its peak from leaf to leaf
+STEP = (["if s1 > peak[0]:", "    peak[0] = s1", "else:", "    peak[0] = peak[0] - 0.001",
+         "p0 = -s0 * w[1] + col[k] if abs(s1) <= 0.3 else copysign(sqrt(abs(s0)), s1) - gain * peak[0]"],
+        {"w": (0.5, 1.5), "col": COLUMN, "peak": [-1.0], "gain": 0.5, "abs": abs, "sqrt": math.sqrt,
+         "copysign": math.copysign})
 
 
 @pytest.mark.skipif(not toolchain(), reason="needs gcc and numpy's bundled OpenBLAS")
@@ -161,6 +171,27 @@ def test_cache_holds_one_object_per_source(tmp_path, monkeypatch):
     cache = tmp_path / "fracobs"
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     assert cache.stat().st_mode & 0o777 == 0o700
+
+
+@pytest.mark.skipif(not toolchain(), reason="needs gcc and numpy's bundled OpenBLAS")
+@pytest.mark.usefixtures("fresh_build")
+def test_cache_keeps_the_most_recently_used_objects(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    run(*STEP)
+    cache = tmp_path / "fracobs"
+    (used,) = cache.iterdir()
+    os.utime(used, (1, 1))  # older than every dummy, until it is loaded again
+    for i in range(native.CACHED):
+        (cache / f"leaf-dummy{i:03}.so").write_bytes(b"")
+        os.utime(cache / f"leaf-dummy{i:03}.so", (2 + i, 2 + i))
+    native._build.cache_clear()
+    run(*STEP)  # read back: marked used, and nothing published or pruned
+    assert used.stat().st_mtime > 2 + native.CACHED
+    native._build.cache_clear()
+    run(["p0 = -s0"], {})  # a new object: the two least recently used go
+    names = {p.name for p in cache.iterdir()}
+    assert len(names) == native.CACHED and used.name in names
+    assert not {"leaf-dummy000.so", "leaf-dummy001.so"} & names and "leaf-dummy002.so" in names
 
 
 def test_set_up_compiles_and_imports_nothing(tmp_path):
