@@ -69,7 +69,9 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
     node = raw
     parts = dotted.split(".")
     for p in parts[:-1]:
-        node = node.setdefault(p, {})
+        if node.get(p) is None:  # an absent or null section is an empty one
+            node[p] = {}
+        node = node[p]
         if not isinstance(node, dict):
             raise ConfigError(dotted, f"{p!r} is not a section")
     try:

@@ -35,29 +35,29 @@ grouping changes no bit of the result. Besides the z array, its weights
 (one more column under full memory) and that scratch, a march holds
 only the current leaf's far-field rows as Python lists.
 
-The leaf is generated per march from one template (``_leaf_source``)
-that unrolls the step into local floats with the operations and order
-of the array form: z_i = h^alpha * p_i - (f_i + q_i), then row k of Z
-is z_0, .. and s_i = x0_i + z_i. f_i is row k of the z array, where the
-far field accumulates before step k; q_i is the near field, the step's
-one numpy call, on a weight view kept per lag. At a leaf's first step
-that view is empty and q_i is +0.0, which leaves f_i as it is: a row
-starts at +0.0 and is only added to, so it is never -0.0. The row is
-stored by packing the floats into a byte view of the z array
+The Python leaf is one template per dim (``_leaf_source``), compiled
+once per process. It calls the step for p_0.. and unrolls the rest into
+local floats with the operations and order of the array form:
+z_i = h^alpha * p_i - (f_i + q_i), then row k of Z is z_0, .. and
+s_i = x0_i + z_i. f_i is row k of the z array, where the far field
+accumulates before step k; q_i is the near field, the step's one numpy
+call, on a weight view kept per lag. At a leaf's first step that view
+is empty and q_i is +0.0, which leaves f_i as it is: a row starts at
++0.0 and is only added to, so it is never -0.0. The row is stored by
+packing the floats into a byte view of the z array
 (``struct.pack_into``), which writes the same doubles as an array
-assignment without building one.
-The divergence test is -B <= s_i <= B for each component: like
-|s_i| <= B it is false for NaN and +-inf and true for -0.0, with no call.
-The field supplies the statements that bind p_0.. from s_0.., t = k*h
-and the step index k: a plain ``VectorField``'s call its ``eval`` on
-[s_0, ...]; one made by ``VectorField.from_statements``, the package's
-one step compiler (plant fields, runs, observer blocks), brings its own,
-which its ``eval`` also runs. Only a field made on a grid (given h) may
-read k, which its ``eval`` binds as round(t / h); a run reads its
-forcing that way, from columns indexed by step. The code is compiled
-under the file name ``<fracobs step: name>``, so profiles and tracebacks
-name the field. The z array is the march's only (n+1) x dim array: once
-the march ends it is shifted by x0 in place and becomes the trace.
+assignment without building one. The divergence test is -B <= s_i <= B
+for each component: like |s_i| <= B it is false for NaN and +-inf and
+true for -0.0, with no call. The step, step(t_k, [s_0, ...]), is a
+plain ``VectorField``'s ``eval``, or a march's own copy of the one
+Python form (``_step_source``, its ``eval`` too) of a step made by
+``VectorField.from_statements``, the package's one step compiler (plant
+fields, runs, observer blocks). Only a field made on a grid (given h)
+may read the step index k, which its step binds as round(t / h); a run
+reads its forcing that way, from columns indexed by step. A step is
+compiled as ``<fracobs step: name>``, so profiles and tracebacks name
+the field. The z array is the march's only (n+1) x dim array: once the
+march ends it is shifted by x0 in place and becomes the trace.
 
 Two leaves keep that contract. A field made by ``from_statements`` runs
 the compiled leaf of ``fracobs.native`` where it can: the step is
@@ -173,27 +173,23 @@ class VectorField:
     def from_statements(cls, dim: int, name: str, lines: Sequence[str], ns: dict,
                         h: Optional[float] = None) -> "VectorField":
         """The field whose step is ``lines``, statements that read s0.. and t
-        and bind p0.. (``ns`` their globals): a march inlines, eval runs them.
-        Any other name they bind is a temporary of the step, and any other
-        name they read a global. A field made on a grid of step ``h`` may
-        also read the step index k: a march binds it as its loop variable,
-        eval as round(t / h), and only a grid of that h integrates the field.
-        This is the one check of a step's names: binding a name of the
-        generated leaf (``_leaf_source``), or reading one that is not an
-        input, raises ValueError, as the leaf would use its own."""
-        used = _leaf_names(dim)
-        leaf = [(node.id, isinstance(node.ctx, ast.Load)) for node in ast.walk(ast.parse("\n".join(lines)))
-                if isinstance(node, ast.Name) and node.id in used]
-        inputs = {"t", *(f"s{i}" for i in range(dim)), *(["k"] if h is not None else [])}
-        for verb, bad in (("binds", {n for n, load in leaf if not load}),
-                          ("reads", {n for n, load in leaf if load} - inputs)):
+        and bind p0.. (``ns`` their globals), as the function ``_step_source``
+        writes: eval, which a march calls. Any other name they bind is a
+        temporary, and any other name they read a global. A field made on a
+        grid of step ``h`` may also read the step index k, bound as
+        round(t / h), and only a grid of that h integrates it. This is the
+        one check of a step's names: binding t, x, k or s0.., or reading x,
+        or k off a grid, raises ValueError."""
+        s = {f"s{i}" for i in range(dim)}
+        own = [(node.id, isinstance(node.ctx, ast.Load)) for node in ast.walk(ast.parse("\n".join(lines)))
+               if isinstance(node, ast.Name) and node.id in {"t", "x", "k", *s}]
+        inputs = {"t", *s, *(["k"] if h is not None else [])}
+        for verb, bad in (("binds", {n for n, load in own if not load}),
+                          ("reads", {n for n, load in own if load} - inputs)):
             if bad:
-                raise ValueError(f"field {name!r} {verb} {', '.join(sorted(bad))}, which the generated leaf uses"
+                raise ValueError(f"field {name!r} {verb} {', '.join(sorted(bad))}, a name of its step function"
                                  " (its inputs are t, s0.. and, on a grid, k)")
-        k = "" if h is None else f"    k = round(t / {float(h)!r})\n"
-        body = "".join(f"    {line}\n" for line in lines)
-        source = f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
-        return cls(dim, _compiled(source, name, ns, "step"), (name, tuple(lines), ns, h))
+        return cls(dim, _compiled(_step_source(dim, lines, h), name, ns, "step"), (name, tuple(lines), ns, h))
 
 
 @dataclass
@@ -275,15 +271,17 @@ def integrate(
     # far-field part of step k's history sum. It is the march's only
     # (n+1) x dim array: the trace is Z shifted by x0 in place.
     Z = np.zeros((n + 1, dim))
-    name, lines, glb, field_h = field._step or ("VectorField", _call_step(dim), {"evaluate": field.eval}, None)
-    if field_h is not None and field_h != h:
-        raise ValueError(f"field {name!r} was made on a grid of step {field_h!r}, grid.h is {h!r}")
-    from . import native  # imported, and compiling, only once a march runs
-
-    make_leaf = native.make_leaf(dim, lines, glb, n + 1)  # None for a plain field's call
-    kind = "compiled" if make_leaf else "python"
-    make_leaf = make_leaf or _compiled(_leaf_source(dim, lines), name, glb, "make_leaf")
-    leaf = make_leaf(Z, x0.tolist(), wrev, near_len, mem, ha, h, np.dot, struct.Struct(f"{dim}d").pack_into)
+    leaf, step = None, field.eval
+    if field._step:
+        name, lines, glb, field_h = field._step
+        if field_h is not None and field_h != h:
+            raise ValueError(f"field {name!r} was made on a grid of step {field_h!r}, grid.h is {h!r}")
+        from . import native  # imported, and compiling, only once a march runs
+        leaf = native.make_leaf(dim, lines, glb, Z, x0.tolist(), wrev, near_len, mem, ha, h)
+        if leaf is None:  # a copy of its own, so that the march's latch cells start afresh
+            step = _compiled(_step_source(dim, lines, field_h), name, glb, "step")
+    kind = "compiled" if leaf else "python"
+    leaf = leaf or _python_leaf(dim)(step, Z, x0.tolist(), wrev, near_len, mem, ha, h)
 
     def far_field(lo: int, mid: int, hi: int) -> None:
         # sources [s0, mid) into targets [mid, mid + nt): lags 1..ns+nt-1,
@@ -317,27 +315,27 @@ def integrate(
     )
 
 
-def _call_step(dim: int) -> list[str]:
-    """A plain field's step: its eval on [s0, ...], the first result's length checked."""
-    return [f"p = evaluate(t, [{_names('s', dim)}])", f"if k == 1 and len(p) != {dim}:",
-            f"    raise ValueError('field returned %d values, field.dim is {dim}' % len(p))",
-            f"{_names('p', dim)}, = p"]
+def _step_source(dim: int, lines: Sequence[str], h: Optional[float]) -> str:
+    """The one Python form of a step: ``step(t, x)`` runs ``lines`` on
+    s0.. = x (and k = round(t / h) on a grid) and returns [p0, ..]."""
+    k = "" if h is None else f"    k = round(t / {float(h)!r})\n"
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def step(t, x):\n{k}    {_names('s', dim)}, = x\n{body}    return [{_names('p', dim)}]\n"
 
 
-def _leaf_source(dim: int, step: Sequence[str]) -> str:
-    """make_leaf(...) -> leaf(lo, hi), which takes steps lo..hi-1 with
-    ``step`` as the field and returns the first diverged step, or 0. The
-    state s0.. starts as x0's own floats (a -0.0 in x0 reaches step 1) and
-    carries over in ``state``, as leaves are called in order on consecutive
-    ranges."""
+def _leaf_source(dim: int) -> str:
+    """make_leaf(step, ...) -> leaf(lo, hi), which takes steps lo..hi-1,
+    calling ``step`` (first result's length checked) for p0.., and returns
+    the first diverged step, or 0. The state s0.. starts as x0's own floats
+    (a -0.0 in x0 reaches step 1) and carries over in ``state``, as leaves
+    are called in order on consecutive ranges."""
     def each(fmt: str) -> str:
         return "\n".join(" " * 12 + fmt.format(i=i) for i in range(dim))
 
-    body = "\n".join(" " * 12 + line for line in step)
     s, z = _names("s", dim), _names("z", dim)
     bound = repr(DIVERGENCE_BOUND)
     return f"""\
-def make_leaf(Z, state, wrev, near_len, mem, ha, h, dot, pack):
+def make_leaf(step, Z, state, wrev, near_len, mem, ha, h):
     {_names("c", dim)}, = state
     rows = memoryview(Z).cast("B")
     near = [wrev[near_len - m:] for m in range(near_len + 1)]
@@ -345,8 +343,10 @@ def make_leaf(Z, state, wrev, near_len, mem, ha, h, dot, pack):
         far = Z[lo:hi].tolist()
         {s}, = state
         for k, frow in enumerate(far, lo):
-            t = k * h
-{body}
+            p = step(k * h, [{s}])
+            if k == 1 and len(p) != {dim}:
+                raise ValueError('field returned %d values, field.dim is {dim}' % len(p))
+            {_names("p", dim)}, = p
             {_names("f", dim)}, = frow
             m = k - lo if k - lo < mem else mem
             {_names("q", dim)}, = dot(near[m], Z[k - m:k]).tolist()
@@ -361,21 +361,20 @@ def make_leaf(Z, state, wrev, near_len, mem, ha, h, dot, pack):
 """
 
 
-# Once per dim: parsing the template for every field raised the peak RSS
-# of a process that runs many marches by up to ~4 MB.
 @functools.cache
-def _leaf_names(dim: int) -> frozenset:
-    """The names that the generated leaf of a dim-state field uses, but p0.."""
-    names = {node.id for node in ast.walk(ast.parse(_leaf_source(dim, ["pass"]))) if isinstance(node, ast.Name)}
-    return frozenset(names - {f"p{i}" for i in range(dim)})
+def _python_leaf(dim: int):
+    """The Python leaf's make_leaf for a dim-state field, compiled once."""
+    return _compiled(_leaf_source(dim), f"dim {dim}", {"dot": np.dot, "pack": struct.Struct(f"{dim}d").pack_into},
+                     "make_leaf")
 
 
 def _compiled(source: str, name: str, ns: dict, fn: str):
     """The function ``fn`` that ``source`` defines on a copy of ``ns`` (lists,
-    a step's state, copied too), taken out of its globals to leave no cycle."""
+    a step's state, copied too), kept out of them: no cycle, no global hidden."""
     scope = {key: value.copy() if type(value) is list else value for key, value in ns.items()}
-    exec(compile(source, f"<fracobs step: {name}>", "exec"), scope)
-    return scope.pop(fn)
+    defined = {}
+    exec(compile(source, f"<fracobs {fn}: {name}>", "exec"), scope, defined)
+    return defined[fn]
 
 
 def _names(prefix: str, dim: int) -> str:

@@ -4,7 +4,7 @@ fair two-observer comparison.
 ``run_experiment`` and ``compare_observers`` share one co-simulation,
 ``_cosimulate``. It writes one augmented vector field as statements
 (``_run_field``: ``PlantModel.statements``, then one observer block per
-distinct variant), which ``fde.integrate`` inlines into its leaf, and
+distinct variant), whose step ``fde.integrate`` calls from its leaf, and
 integrates it once on a shared grid. The field is made on that grid, so
 its step reads the forcing by step index k: the true fault from f_true
 (``fault_value`` at t_k, computed once before the march and written to

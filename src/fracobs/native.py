@@ -54,12 +54,12 @@ def _need(ok: bool) -> None:
         raise NotImplementedError  # a construct off the step language
 
 
-def make_leaf(dim: int, lines, ns: dict, rows: int):
-    """``make_leaf(Z, state, wrev, near_len, mem, ha, h, dot, pack)`` of the
-    compiled leaf of the step ``lines`` (globals ``ns``) on a z array of
-    ``rows`` rows, or None when the Python leaf must run."""
+def make_leaf(dim: int, lines, ns: dict, Z, state, wrev, near_len: int, mem: int, ha: float, h: float):
+    """The compiled leaf(lo, hi) of the step ``lines`` (globals ``ns``) on the
+    z array ``Z``, starting from the state ``state``, or None when the Python
+    leaf must run."""
     try:
-        step = _Step(dim, ns, rows, ast.parse("\n".join(lines)))
+        step = _Step(dim, ns, len(Z), ast.parse("\n".join(lines)))
     except NotImplementedError:
         return None
     gemv, fn = _dgemv(DGEMV), _build(step.source(), CC)
@@ -67,16 +67,13 @@ def make_leaf(dim: int, lines, ns: dict, rows: int):
         return None
     A = [np.frombuffer(ns[name]) for name in step.arrays]
     ptrs = (_P * max(1, len(A)))(*(a.ctypes.data for a in A))
+    # x0, the state carried from leaf to leaf, then the scalar globals
+    st = np.array(state + state + [value for _, value in step.scalars.values()])
+    args = (Z.ctypes.data, st.ctypes.data, wrev.ctypes.data, near_len, mem, ha, h, gemv, ptrs)
 
-    def make(Z, state, wrev, near_len, mem, ha, h, dot, pack):
-        # x0, the state carried from leaf to leaf, then the scalar globals
-        st = np.array(state + state + [value for _, value in step.scalars.values()])
-        args = (Z.ctypes.data, st.ctypes.data, wrev.ctypes.data, near_len, mem, ha, h, gemv, ptrs)
-
-        def leaf(lo: int, hi: int, _arrays=(Z, st, wrev, A)) -> int:  # what args point into
-            return fn(lo, hi, *args)
-        return leaf
-    return make
+    def leaf(lo: int, hi: int, _arrays=(Z, st, wrev, A)) -> int:  # what args point into
+        return fn(lo, hi, *args)
+    return leaf
 
 
 class _Step:

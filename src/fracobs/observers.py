@@ -31,7 +31,7 @@ fault estimate.
 
 ``ObserverDynamics`` alone reads that layout. ``statements`` writes the
 chain as Python statements, every pair in the one formula of ``_pair``
-(which ``fsta_rhs`` calls); a run inlines them into its march, with a
+(which ``fsta_rhs`` calls); a run's step runs them in its march, with a
 latch of its own. ``channels`` writes a recorded block's named columns
 into a trace.
 """

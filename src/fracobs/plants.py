@@ -25,7 +25,7 @@ statements and ``drift_at`` and ``gain_at``, on floats or arrays, read.
 ``PlantModel.statements`` writes the chain's step once, with the fault
 and noise terms as expressions the caller binds: ``assemble_field``
 compiles it reading fault_value(fault, t) and noise(t), and a harness
-run inlines it reading the fault on the grid and the noise from columns
+run's step runs it reading the fault on the grid and the noise from columns
 by step index. ``held_column`` is the one per-step hold of samples
 (entry k, what the step into t = k*h reads, is sample k-1; entry 0 is
 sample 0), for the noise and a replay's output; ``noise_signal`` reads
@@ -289,7 +289,7 @@ def assemble_field(
     noise: Optional[Callable[[float], float]] = None,
 ) -> VectorField:
     """The right-hand side of a plant run: ``plant.statements``, which a
-    march inlines and whose ``eval`` takes the state as a sequence of
+    march calls and whose ``eval`` takes the state as a sequence of
     floats and returns a list. Components 1..n-1 are exactly the shifted
     state; fault and noise(t) (see ``noise_signal``) enter only the last,
     as a(x) + b(x) * f(t) + noise(t). It is a pure function of (t, x).

@@ -196,6 +196,19 @@ class TestRun:
         assert err.startswith("config error: observer.init: proposed observer with n=3 needs 8 entries")
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, section", [("noise.variance=0.1", {"noise": {"variance": 0.1}}),
+                                                   ("fault.kind=step", {"fault": {"kind": "step"}})],
+                             ids=["noise", "fault"])
+    def test_set_fills_a_null_section(self, tmp_path, override, section):
+        # from_dict reads a null section as absent; --set into it starts an empty one
+        runs = {"null": (cfg_dict(**dict.fromkeys(section), **{"grid.t_end": 1.0}), ["--set", override]),
+                "given": (cfg_dict(**section, **{"grid.t_end": 1.0}), [])}
+        for name, (d, sets) in runs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+            assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), *sets]) == 0
+        hashes = {json.loads((tmp_path / name / "cliunit_manifest.json").read_text())["config_hash"] for name in runs}
+        assert len(hashes) == 1
+
     def test_section_of_wrong_type_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg_dict(grid=5)))

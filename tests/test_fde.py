@@ -212,27 +212,49 @@ class TestFieldContract:
         assert np.array(seen[0]).tobytes() == np.array(x0).tobytes()
         assert np.array(seen).tobytes() == tr.values[:-1].tobytes()
 
-    @pytest.mark.parametrize("name", ["ha", "c0", "k", "near"])
+    @pytest.mark.parametrize("name", ["t", "s0", "k", "x"])
     def test_statements_may_not_bind_a_name_of_the_leaf(self, name):
-        # inlined, "ha = 2.0" would rescale every later step of the march
-        # while eval still returned -s0
-        with pytest.raises(ValueError, match=f"field 'clash' binds {name}, which the generated leaf uses"):
+        # "s0 = 2.0" would rebind the state that eval and a march pass in
+        with pytest.raises(ValueError, match=f"field 'clash' binds {name}, a name of its step function"):
             VectorField.from_statements(1, "clash", [f"{name} = 2.0", "p0 = -s0"], {})
 
-    @pytest.mark.parametrize("name", ["ha", "mem", "c0", "near"])
-    def test_statements_may_not_read_a_name_of_the_leaf(self, name):
-        # inlined, the step would read the leaf's own local, not the global:
-        # with "ha" a march at alpha 0.9 gave x1 = 0.99975 at step 1 where
-        # the same global under another name gives 0.96830
-        with pytest.raises(ValueError, match=f"field 'clash' reads {name}, which the generated leaf uses"):
-            VectorField.from_statements(2, "clash", [f"p0 = -s0 * {name}", "p1 = -s1"], {name: 2.0}, 0.01)
+    def test_statements_may_not_read_x(self):
+        # x is the step function's state list: a global of that name was read
+        # by the march (x1 = 0.96830 at step 1) while eval raised TypeError
+        with pytest.raises(ValueError, match="field 'xx' reads x, a name of its step function"):
+            VectorField.from_statements(2, "xx", ["p0 = -s0 * x", "p1 = -s1"], {"x": 2.0})
+
+    @on_both_leaves
+    @pytest.mark.parametrize("name", ["ha", "mem", "c0", "near", "step"])
+    def test_a_global_named_as_a_local_of_the_leaf_is_read_as_the_global(self, name):
+        # a leaf that inlined the step read its own h^alpha for "ha" (x1 =
+        # 0.99975 at step 1); a global "step" was lost to the step function's own name
+        grid, x0 = SimGrid(h=0.01, t_end=0.5), [1.0, 1.0]
+        fields = [VectorField.from_statements(2, "global", [f"p0 = -s0 * {glb}", "p1 = -s1"], {glb: 2.0}, grid.h)
+                  for glb in (name, "two")]
+        x, renamed = (integrate(field, 0.9, grid, x0).values for field in fields)
+        assert x.tobytes() == renamed.tobytes()
+        assert x[1, 0] == pytest.approx(0.96830, abs=1e-5)
+        # no history at step 1: x1 = x0 + h^alpha * eval(0, x0)
+        assert x[1].tolist() == [a + grid.h ** 0.9 * p for a, p in zip(x0, fields[0].eval(0.0, x0))]
 
     def test_only_a_field_made_on_a_grid_reads_k(self):
         # without h, eval has no k to read, and a march would read its loop index
         lines, ns = ["p0 = -s0 + col[k]", "p1 = -s1"], {"col": memoryview(np.zeros(11))}
         assert VectorField.from_statements(2, "grid", lines, ns, 0.1).eval(0.1, [1.0, 1.0]) == [-1.0, -1.0]
-        with pytest.raises(ValueError, match="field 'no-grid' reads k, which the generated leaf uses"):
+        with pytest.raises(ValueError, match="field 'no-grid' reads k, a name of its step function"):
             VectorField.from_statements(2, "no-grid", lines, ns)
+
+    @on_both_leaves
+    def test_a_temporary_bound_on_some_paths_is_unbound_on_the_others(self):
+        # g is bound only while s0 > 0; s0 crosses zero at step 25, where a leaf
+        # that inlined the step read the stale g = 1.0 and finished at x1 = -1.5
+        field = VectorField.from_statements(2, "maybe", ["if s0 > 0.0:", "    g = 1.0", "p0 = g - 3.0",
+                                                         "p1 = -s1"], {}, 0.01)
+        with pytest.raises(UnboundLocalError):
+            field.eval(0.25, [-1e-16, 1.0])
+        with pytest.raises(UnboundLocalError):
+            integrate(field, 1.0, SimGrid(h=0.01, t_end=1.0), [0.5, 1.0])
 
 
 class TestDivergenceFlag:
@@ -293,8 +315,8 @@ class TestDivergenceFlag:
 
 
 class TestGridField:
-    """A field made on a grid reads the step index k: a march binds it as
-    its loop variable, eval as round(t / h)."""
+    """A field made on a grid reads the step index k: the compiled leaf as
+    its loop variable, the step function (eval) as round(t / h)."""
 
     GRID = SimGrid(h=0.01, t_end=3.0)
 
@@ -308,9 +330,9 @@ class TestGridField:
     def test_march_reads_the_step_index_as_eval_does(self):
         step = self.field(self.GRID.h)
         x0 = [0.5, -0.25]
-        inlined = integrate(step, 0.9, self.GRID, x0)
+        marched = integrate(step, 0.9, self.GRID, x0)
         called = integrate(VectorField(step.dim, step.eval), 0.9, self.GRID, x0)
-        assert np.array_equal(inlined.values, called.values)
+        assert np.array_equal(marched.values, called.values)
 
     def test_eval_reads_entry_round_t_over_h(self):
         step = self.field(self.GRID.h)

@@ -155,8 +155,8 @@ class TestReplay:
 
 class TestGeneratedStep:
     """The run's field is generated statements (``harness._run_field``),
-    and so is a plant-only field (``assemble_field``): a march that
-    inlines them equals one that calls their ``eval`` per step, and a
+    and so is a plant-only field (``assemble_field``): a march of the
+    field equals one that calls its ``eval`` per step, and a
     run's ``eval`` equals the plant field plus each observer's statements
     compiled alone (``rhs_flat``)."""
 
@@ -195,11 +195,11 @@ class TestGeneratedStep:
         cfg, plant, x0, field = self.build(name, variants, fault, latching=latching)
         grid = cfg.build_grid()
         step = field()
-        inlined = integrate(step, plant.alpha, grid, x0)
+        marched = integrate(step, plant.alpha, grid, x0)
         called = integrate(VectorField(step.dim, step.eval), plant.alpha, grid, x0)
-        assert np.array_equal(inlined.values, called.values)
+        assert np.array_equal(marched.values, called.values)
         # each march and the eval keep their own latch
-        assert np.array_equal(integrate(step, plant.alpha, grid, x0).values, inlined.values)
+        assert np.array_equal(integrate(step, plant.alpha, grid, x0).values, marched.values)
 
     @pytest.mark.parametrize("name, variants", [("example1", ("proposed",)),
                                                 ("example2", ("proposed", "baseline"))])
