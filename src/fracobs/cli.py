@@ -92,19 +92,23 @@ def write_trace_csv(path: Path, trace: Trace, n: int, stride: int) -> None:
     """Fixed-schema CSV; columns absent from the trace stay empty.
 
     Every row is one row template: %r (repr, which round-trips) for each
-    column the trace has, nothing for the others. A chunk of rows is one
-    %-format of the template repeated, over the chunk's floats.
+    column the trace has, nothing for the others. A chunk of rows is
+    formatted at once, by ``fracobs.native``'s compiled writer, which
+    prints repr's exact bytes, or else by one %-format of the template
+    repeated, over the chunk's floats.
     """
+    from . import native  # imported, and compiling, only once a trace is written
     schema = trace_columns(n)
     cols = [trace.labels.index(name) for name in schema if name in trace.labels]
     template = ",".join("%r" if name == "t" or name in trace.labels else "" for name in schema) + "\n"
+    rows = native.make_writer(template, _CSV_CHUNK) or (
+        lambda chunk: (template * len(chunk) % tuple(chunk.ravel().tolist())).encode())
     times = trace.times()[::stride]
     values = trace.values[::stride]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(schema) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(schema) + "\n").encode())
         for k in range(0, times.size, _CSV_CHUNK):
-            chunk = np.column_stack((times[k:k + _CSV_CHUNK], values[k:k + _CSV_CHUNK, cols]))
-            fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(rows(np.column_stack((times[k:k + _CSV_CHUNK], values[k:k + _CSV_CHUNK, cols]))))
 
 
 def _write_outputs(out_arg: Optional[str], cfg: ExperimentConfig, duration: float,

@@ -1,13 +1,25 @@
-"""The compiled GL leaf: a ``VectorField.from_statements`` step in C.
+"""Compiled objects: the GL leaf of a ``VectorField.from_statements`` step in
+C, and the trace CSV's row writer in C++.
 
 ``make_leaf`` translates the step with ``ast`` into the C of a leaf with the
-Python leaf's contract (``fde._leaf_source``), compiles it with gcc and
-loads it with ``ctypes``. Objects are cached in ``$XDG_CACHE_HOME/fracobs``
-(default ``~/.cache/fracobs``), keyed by the sha256 of the source, flags and
+Python leaf's contract (``fde._leaf_source``); ``make_writer`` formats rows
+of floats as ``repr`` does. Both are compiled with gcc and loaded with
+``ctypes``. Objects are cached in ``$XDG_CACHE_HOME/fracobs`` (default
+``~/.cache/fracobs``), keyed by the sha256 of the source, flags and
 ``gcc --version``, the ``CACHED`` most recently used kept, or built in a
 private temporary directory where that cannot be written. The Python leaf
 runs, with the same trace, for a step off the language below, without gcc,
-when the compile fails and when numpy's dgemv is missing.
+when the compile fails and when numpy's dgemv is missing. The Python row
+template writes the same bytes without gcc, without its C++ front end or a
+libstdc++ with floating-point ``std::to_chars`` (GCC 11 on), and when the
+compile fails.
+
+The writer prints the shortest digit string that reads back as the float,
+closest to it where several are as short. That string is unique, so
+``to_chars`` (Ryu) gives the digits of CPython's dtoa, and the writer lays
+them out as ``float_repr`` does: fixed notation for -4 < decpt <= 16 with
+``.0`` on integral values, else ``d.ddde+XX``; ``nan`` whatever its sign,
+``inf``, ``-inf`` and ``-0.0``.
 
 The step language has floats and tests only: ``name = value``,
 ``cell[0] = value`` and ``if test:``/``else:``. A value is a finite float
@@ -41,12 +53,16 @@ from .fde import DIVERGENCE_BOUND
 CC = "gcc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # never -ffast-math
 DGEMV = "scipy_cblas_dgemv64_"  # in numpy's bundled ILP64 OpenBLAS
-CACHED = 128  # shared objects kept in the cache: twice the distinct steps of the test suite
+CACHED = 128  # shared objects kept in the cache: twice the distinct objects of the test suite
 
 _FUNCS = ((abs, "fabs"), (math.sqrt, "sqrt"), (math.copysign, "copysign"))
 _OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
         ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# (language flags, restype, argtypes) of each symbol an object exports
+_OBJECTS = {"leaf": (("-x", "c", "-", "-lm"), _I, [_I, _I, _P, _P, _P, _I, _I, _D, _D, _P, _P]),
+            "csv": (("-x", "c++", "-std=c++17", "-", "-lstdc++"), _I, [_P, _I, _I, _I, _P, _P])}
+CELL = 24  # the widest repr of a float: -2.2250738585072014e-308
 
 
 def _need(ok: bool) -> None:
@@ -62,7 +78,7 @@ def make_leaf(dim: int, lines, ns: dict, Z, state, wrev, near_len: int, mem: int
         step = _Step(dim, ns, len(Z), ast.parse("\n".join(lines)))
     except NotImplementedError:
         return None
-    gemv, fn = _dgemv(DGEMV), _build(step.source(), CC)
+    gemv, fn = _dgemv(DGEMV), _build(step.source(), CC, "leaf")
     if gemv is None or fn is None:
         return None
     A = [np.frombuffer(ns[name]) for name in step.arrays]
@@ -205,6 +221,93 @@ int64_t leaf(int64_t lo, int64_t hi, double *Z, double *st, const double *wrev, 
 """
 
 
+def make_writer(template: str, rows: int):
+    """The compiled writer of ``template``, a row of ``%r`` cells, or None
+    when the Python template must run. It takes a 2-d float array ``chunk``
+    of up to ``rows`` rows and returns the bytes of ``template * len(chunk)
+    % tuple(chunk.ravel().tolist())``, a view of one buffer reused from
+    chunk to chunk."""
+    fn = _build(_CSV, CC, "csv")
+    if fn is None:
+        return None
+    text, cells = template.encode(), template.count("%r")
+    buf = np.empty(rows * (len(text) + CELL * cells), np.uint8)
+
+    def write(chunk: np.ndarray) -> memoryview:
+        if chunk.dtype != np.float64 or chunk.shape[1:] != (cells,) or len(chunk) > rows:
+            raise ValueError(f"a chunk of up to {rows} float rows of {cells} cells")
+        step, across = (stride // chunk.itemsize for stride in chunk.strides)
+        return buf[:fn(chunk.ctypes.data, len(chunk), step, across, text, buf.ctypes.data)].data
+    return write
+
+
+# repr(x) of each cell, for the layout of CPython's float_repr (mode 'r', Py_DTSF_ADD_DOT_0)
+_CSV = r"""
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
+static char *put(char *p, const char *s, int64_t n)
+{
+    std::memcpy(p, s, n);
+    return p + n;
+}
+
+static char *repr(char *p, double x)
+{
+    if (std::isnan(x))
+        return put(p, "nan", 3);
+    if (std::signbit(x))
+        *p++ = '-', x = -x;
+    if (std::isinf(x))
+        return put(p, "inf", 3);
+    if (x == 0.0)
+        return put(p, "0.0", 3);
+    char s[32];  /* the shortest digits, closest to x: d[.ddd]e(+|-)dd[d] */
+    char *end = std::to_chars(s, s + sizeof s, x, std::chars_format::scientific).ptr;
+    char digits[17], *e = s;
+    int n = 0, exp = 0;
+    for (; *e != 'e'; e++)
+        if (*e != '.')
+            digits[n++] = *e;
+    for (const char *c = e + 2; c < end; c++)
+        exp = 10 * exp + (*c - '0');
+    int decpt = (e[1] == '-' ? -exp : exp) + 1;  /* x = 0.ddd * 10^decpt */
+    if (decpt <= -4 || decpt > 16)  /* repr's exponent: a sign and two digits or more, as to_chars */
+        return put(p, s, end - s);
+    if (decpt <= 0) {
+        p = put(p, "0.000", 2 - decpt);
+        return put(p, digits, n);
+    }
+    if (decpt < n) {
+        p = put(p, digits, decpt);
+        *p++ = '.';
+        return put(p, digits + decpt, n - decpt);
+    }
+    p = put(p, digits, n);
+    std::memset(p, '0', decpt - n);
+    return put(p + decpt - n, ".0", 2);
+}
+
+/* template * rows % cells: each "%r" of row k's template takes the row's next cell */
+extern "C" int64_t csv(const double *cells, int64_t rows, int64_t step, int64_t across, const char *tmpl,
+                        char *out)
+{
+    char *p = out;
+    for (int64_t k = 0; k < rows; k++) {
+        const double *cell = cells + k * step;
+        for (const char *c = tmpl; *c; c++)
+            if (*c == '%')
+                p = repr(p, *cell), cell += across, c++;
+            else
+                *p++ = *c;
+    }
+    return p - out;
+}
+"""
+
+
 @functools.cache
 def _dgemv(symbol: str):
     """The address of ``symbol`` as numpy's multiarray module resolves it, or None."""
@@ -223,12 +326,14 @@ def _version(cc: str):
 
 
 @functools.cache
-def _build(source: str, cc: str):
-    """The loaded ``leaf`` of ``source``, from the cache or compiled by ``cc``, or None."""
+def _build(source: str, cc: str, symbol: str):
+    """The loaded ``symbol`` of ``source``, from the cache or compiled by ``cc``, or None."""
     version = _version(cc)
     if version is None:
         return None
-    name = f"leaf-{hashlib.sha256(chr(0).join((source, *FLAGS, version)).encode()).hexdigest()}.so"
+    lang, restype, argtypes = _OBJECTS[symbol]
+    flags = (*FLAGS, *lang)
+    name = f"{symbol}-{hashlib.sha256(chr(0).join((source, *flags, version)).encode()).hexdigest()}.so"
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     for private in (False, True):  # where the cache cannot be written, build where only this process looks
         try:
@@ -238,20 +343,20 @@ def _build(source: str, cc: str):
                 path = os.path.join(where, name)
                 if not os.path.exists(path):  # compile beside it, then publish and prune
                     with tempfile.TemporaryDirectory(prefix="tmp-", dir=where) as tmp:
-                        subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", f"{tmp}/leaf.so", "-lm"], input=source,
+                        subprocess.run([cc, *flags, "-o", f"{tmp}/obj.so"], input=source,
                                        capture_output=True, text=True, check=True)
-                        os.replace(f"{tmp}/leaf.so", path)
+                        os.replace(f"{tmp}/obj.so", path)
                     with contextlib.suppress(OSError):  # another process may be pruning too
-                        objects = [os.path.join(where, f) for f in os.listdir(where) if f.startswith("leaf-")]
+                        objects = [os.path.join(where, f) for f in os.listdir(where) if f.endswith(".so")]
                         for old in sorted(objects, key=os.path.getmtime)[:-CACHED]:
                             os.unlink(old)
-                fn = ctypes.CDLL(path).leaf
+                fn = getattr(ctypes.CDLL(path), symbol)
                 with contextlib.suppress(OSError):
                     os.utime(path)  # used now, so pruned last
         except OSError:
             continue
         except subprocess.SubprocessError:
             return None
-        fn.restype, fn.argtypes = _I, [_I, _I, _P, _P, _P, _I, _I, _D, _D, _P, _P]
+        fn.restype, fn.argtypes = restype, argtypes
         return fn
     return None

@@ -25,15 +25,24 @@ def rhs_flat(dyn):
     return VectorField.from_statements(dyn.dim, dyn.variant, ["y = t", *dyn.statements("y", 0, ns)], ns).eval
 
 
-def on_both_leaves(test):
-    """Run ``test`` on both leaves of the march: as it is (the compiled leaf,
-    where gcc and numpy's OpenBLAS are there), then again with the native
-    entry point monkeypatched to refuse every step (the Python leaf). The
-    test keeps its name, and hypothesis runs both on every example."""
-    @functools.wraps(test)
-    def both(*args, **kwargs):
-        test(*args, **kwargs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(native, "make_leaf", lambda *step: None)
+def _on_both(entry: str):
+    """A decorator that runs a test as it is, then again with ``native.<entry>``
+    monkeypatched to return None, so the Python form runs. The test keeps its
+    name, and hypothesis runs both on every example."""
+    def on_both(test):
+        @functools.wraps(test)
+        def both(*args, **kwargs):
             test(*args, **kwargs)
-    return both
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(native, entry, lambda *args: None)
+                test(*args, **kwargs)
+        return both
+    return on_both
+
+
+# both leaves of the march: the compiled one (where gcc and numpy's OpenBLAS
+# are there), then the Python one
+on_both_leaves = _on_both("make_leaf")
+# both trace CSV writers: the compiled one (where gcc compiles C++17), then
+# the Python row template
+on_both_writers = _on_both("make_writer")

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import fracobs.fraccalc
+from conftest import on_both_writers
 from fracobs import __version__, bundled_config, cli, native
 from fracobs.cli import main
 from fracobs.configs import ExperimentConfig, config_hash
-from fracobs.fde import Trace
+from fracobs.fde import SimGrid, Trace
 from fracobs.harness import compare_observers, run_experiment, trace_columns
 
 
@@ -325,9 +326,15 @@ def reference_csv(trace, n, stride):
     return ("\n".join(lines) + "\n").encode()
 
 
+CSV_CHUNK = cli._CSV_CHUNK
+# the two widest cells, of 24 characters, and the longest exponent on the fewest digits
+WIDEST = (-2.2250738585072014e-308, -1.7976931348623157e+308, -5e-324)
+
+
 class TestWriteTraceCsv:
-    """``write_trace_csv`` against a per-cell repr reference, in chunks of 7
-    rows so that the rows span several chunks and the last one is short."""
+    """``write_trace_csv`` against a per-cell repr reference, on both writers
+    (``conftest.on_both_writers``), in chunks of 7 rows so that the rows span
+    several chunks and the last one is short."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -338,6 +345,7 @@ class TestWriteTraceCsv:
         return compare_observers(ExperimentConfig.from_dict(cfg_dict(**{"grid.t_end": 1.0})))
 
     @pytest.mark.parametrize("stride", [1, 3])
+    @on_both_writers
     def test_proposed_and_baseline_traces(self, tmp_path, comparison, stride):
         base = comparison.trace_b
         assert {"f_tilde", "e_f", "E3"}.isdisjoint(base.labels)
@@ -349,6 +357,7 @@ class TestWriteTraceCsv:
         empty = [trace_columns(3).index(c) for c in ("f_tilde", "e_f", "E3")]
         assert all(row[i] == "" for row in rows for i in empty)
 
+    @on_both_writers
     def test_diverged_trace_writes_nan_rows(self, tmp_path):
         trace, _ = run_experiment(ExperimentConfig.from_dict(diverging_dict(t_end=1.0)))
         assert trace.diverged
@@ -357,6 +366,7 @@ class TestWriteTraceCsv:
         assert path.read_bytes() == reference_csv(trace, 3, 1)
         assert ",nan," in path.read_text().splitlines()[-1]
 
+    @on_both_writers
     def test_negative_zero_keeps_its_sign(self, tmp_path, comparison):
         src = comparison.trace_a
         values = src.values.copy()
@@ -368,6 +378,22 @@ class TestWriteTraceCsv:
         assert path.read_bytes() == reference_csv(trace, 3, 1)
         _, rows = read_csv(path)
         assert rows[0][1] == "-0.0"
+
+    @on_both_writers
+    def test_widest_cells_over_full_chunks(self, tmp_path, comparison, monkeypatch):
+        # every value cell one of WIDEST, over two full chunks and a short one
+        monkeypatch.setattr(cli, "_CSV_CHUNK", CSV_CHUNK)
+        labels = comparison.trace_a.labels
+        grid = SimGrid(h=0.01, t_end=(2 * CSV_CHUNK + 5) * 0.01)
+        values = np.resize(WIDEST, (grid.n_steps + 1, len(labels)))
+        trace = Trace(grid=grid, labels=labels, values=values)
+        assert set(trace_columns(3)) == {"t", *labels}
+        path = tmp_path / "w.csv"
+        cli.write_trace_csv(path, trace, 3, 1)
+        assert path.read_bytes() == reference_csv(trace, 3, 1)
+        _, rows = read_csv(path)
+        assert len(rows) > 2 * CSV_CHUNK and {cell for row in rows for cell in row[1:]} == set(map(repr, WIDEST))
+        assert max(len(cell) for cell in rows[0]) == native.CELL
 
 
 class TestValidate:
